@@ -1,79 +1,44 @@
-"""Benchmark the Monte Carlo calibration kernel: numba vs. pure numpy.
+"""Time the Monte Carlo calibration through the repository benchmark.
 
 Usage::
 
     python benchmarks/bench_calibration.py [--trials 20000] [--grid 24x24]
+                                           [--seed 7] [--seconds 20]
 
-The numba backend is compiled once before timing so the comparison measures
-steady-state throughput. Both backends consume identical uniform streams;
-the printed max relative deviation shows how closely the accumulated
-results agree.
+This runs the ``calibrate`` workload of ``perfbench/run.py`` at the given
+size (sigma2=3, eps=1e-6), so that calibration timings come from the
+benchmark's one timing loop: fresh worker processes with one BLAS thread,
+the median job time, and every report checked against a numpy restatement
+of the counter-RNG contract. Its output is that of ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
+import os
+import subprocess
+import sys
 
-import numpy as np
-
-from graphbayes import ExperimentConfig, grid_graph, run_calibration
-from graphbayes import _kernels
-
-
-def _time_backend(name, config, repeats):
-    previous = _kernels.set_backend(name)
-    try:
-        run_calibration(config)  # warm-up (JIT compile / cache priming)
-        best = np.inf
-        report = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            report = run_calibration(config)
-            best = min(best, time.perf_counter() - start)
-        return best, report
-    finally:
-        _kernels.set_backend(previous)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=20000)
     parser.add_argument("--grid", default="24x24")
-    parser.add_argument("--sigma2", type=float, default=3.0)
-    parser.add_argument("--eps", type=float, default=1e-6)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seconds", type=int, default=20,
+                        help="wall time of the timed loop, over all workers")
     args = parser.parse_args()
-
-    width, height = (int(v) for v in args.grid.lower().split("x"))
-    graph = grid_graph(width, height)
-    config = ExperimentConfig(
-        graph=graph, eps=args.eps, sigma2=args.sigma2,
-        trials=args.trials, seed=args.seed,
-    )
-
-    print(f"graph: {width}x{height} grid ({graph.n} nodes), "
-          f"trials: {args.trials}, repeats: {args.repeats} (best shown)")
-
-    results = {}
-    for backend in ("numpy", "numba"):
-        try:
-            elapsed, report = _time_backend(backend, config, args.repeats)
-        except RuntimeError as exc:
-            print(f"{backend:>6}: skipped ({exc})")
-            continue
-        results[backend] = (elapsed, report)
-        rate = args.trials / elapsed
-        print(f"{backend:>6}: {elapsed:8.3f} s   ({rate:,.0f} trials/s)")
-
-    if len(results) == 2:
-        t_np, rep_np = results["numpy"]
-        t_nb, rep_nb = results["numba"]
-        dev = float(np.max(np.abs(rep_np.mse - rep_nb.mse) / rep_np.mse))
-        print(f"speedup numba/numpy: {t_np / t_nb:.2f}x")
-        print(f"max relative mse deviation between backends: {dev:.2e}")
+    command = [
+        sys.executable, os.path.join("perfbench", "run.py"),
+        "--workload", "calibrate", "--grid", args.grid,
+        "--trials", str(args.trials), "--seed", str(args.seed),
+        "--seconds", str(args.seconds),
+    ]
+    # run.py benchmarks the sources under src/ of the directory it runs in
+    return subprocess.call(command, cwd=ROOT)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

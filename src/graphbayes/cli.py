@@ -7,9 +7,9 @@ Subcommands::
     simulate       Monte Carlo calibration report (mse vs. variance)
     sample-select  greedy sampling-set selection under a covariance metric
 
-Exit codes: 0 success, 1 parse/configuration error, 2 inconsistent
-noise-free constraints. All output is a pure function of the inputs, flags
-and seed.
+Exit codes: 0 success, 1 parse/configuration error or a graph too large
+for dense arrays, 2 inconsistent noise-free constraints. All output is a
+pure function of the inputs, flags and seed.
 """
 
 from __future__ import annotations
@@ -297,6 +297,11 @@ def main(argv=None):
         return 2
     except (CliError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message gives the requested shape, i.e. the node count
+        print(f"error: the dense arrays for this graph do not fit in memory: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -95,7 +95,9 @@ class PosteriorSummary:
 
 
 def _freeze(arr):
-    out = np.array(arr, dtype=np.float64)
+    # C order whatever the source (eigh returns Fortran-ordered vectors):
+    # the layout decides how later products with the array round
+    out = np.array(arr, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -134,39 +136,53 @@ def fuse(prior, observation):
     projected precision; eigenvalues below ``RANK_TOL`` times the largest
     one (floor 1) are classified as flat. The mean is the minimum-norm
     representative when flat directions exist.
+
+    Without constraints the kernel is the whole space, so ``P`` itself is
+    eigendecomposed: its eigenvectors are the bases and ``h`` is solved
+    directly, with no projection through an identity kernel.
     """
     fused = prior.combine(observation)
     n = fused.n
     c_mat, d_vec = fused.constraint_arrays()
-    zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
-
-    free = kernel.shape[1]
-    if free == 0:
-        return PosteriorSummary(
-            mean=_freeze(particular),
-            cov_basis=_freeze(np.zeros((n, 0))),
-            cov_values=_freeze(np.zeros(0)),
-            null_basis=_freeze(np.zeros((n, 0))),
-            zero_basis=_freeze(zero_basis),
-        )
-
-    projected = kernel.T @ fused.precision @ kernel
-    projected = 0.5 * (projected + projected.T)
+    if c_mat.shape[0] == 0:
+        kernel, zero_basis, particular = None, np.zeros((n, 0)), np.zeros(n)
+        projected = fused.precision + fused.precision.T
+        g = fused.info
+    else:
+        zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
+        if kernel.shape[1] == 0:
+            return PosteriorSummary(
+                mean=_freeze(particular),
+                cov_basis=_freeze(np.zeros((n, 0))),
+                cov_values=_freeze(np.zeros(0)),
+                null_basis=_freeze(np.zeros((n, 0))),
+                zero_basis=_freeze(zero_basis),
+            )
+        projected = kernel.T @ fused.precision @ kernel
+        projected = projected + projected.T
+        # h restricted to the kernel, shifted by the particular solution
+        g = kernel.T @ (fused.info - fused.precision @ particular)
+    projected *= 0.5
     evals, evecs = np.linalg.eigh(projected)
     tau = RANK_TOL * max(float(evals[-1]), 1.0)
     finite = evals >= tau
 
-    # h restricted to the kernel, shifted by the particular solution
-    g = kernel.T @ (fused.info - fused.precision @ particular)
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
-    mean = particular + kernel @ y
+    if kernel is None:
+        # -0.0 -> +0.0, in place, as the product with an identity kernel did
+        np.add(evecs, 0.0, out=evecs)
+        mean = particular + y
+        cov_basis, null_basis = evecs[:, finite], evecs[:, ~finite]
+    else:
+        mean = particular + kernel @ y
+        cov_basis, null_basis = kernel @ evecs[:, finite], kernel @ evecs[:, ~finite]
 
     return PosteriorSummary(
         mean=_freeze(mean),
-        cov_basis=_freeze(kernel @ evecs[:, finite]),
+        cov_basis=_freeze(cov_basis),
         cov_values=_freeze(1.0 / evals[finite]),
-        null_basis=_freeze(kernel @ evecs[:, ~finite]),
+        null_basis=_freeze(null_basis),
         zero_basis=_freeze(zero_basis),
     )
 
@@ -229,14 +245,23 @@ def spectral_uncertainty(summary, spectrum):
     """Variance along each eigenbasis direction, as a length-n vector.
 
     Under a smoothness prior with a full noisy observation the i-th entry
-    equals ``1 / (1/sigma2 + value_i)``.
+    equals ``1 / (1/sigma2 + value_i)``. The entries are those of
+    :func:`directional_uncertainty` on each eigenvector, up to rounding,
+    taken in one batch: the finite variances from one product of
+    ``cov_basis.T`` with the whole eigenvector matrix, and the ``inf``
+    entries from the column norms of ``null_basis.T`` times that matrix.
     """
     if spectrum.n != summary.n:
         raise ValueError("spectrum dimension does not match posterior")
-    return np.array([
-        directional_uncertainty(summary, spectrum.vectors[:, i])
-        for i in range(spectrum.n)
-    ])
+    vectors = spectrum.vectors
+    norms = np.linalg.norm(vectors, axis=0)
+    coeffs = summary.cov_basis.T @ vectors
+    np.square(coeffs, out=coeffs)
+    variances = (summary.cov_values @ coeffs) / norms**2
+    if summary.null_basis.shape[1]:
+        null_mass = np.linalg.norm(summary.null_basis.T @ vectors, axis=0) / norms
+        variances[null_mass > DIRECTION_TOL] = math.inf
+    return variances
 
 
 def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None):
@@ -274,7 +299,8 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
 
     ``closed_form`` goes through :func:`fuse`; ``iterative`` runs conjugate
     gradient on the constraint kernel without forming a dense
-    factorization. Both return the minimum-norm representative and emit
+    factorization, and on the fused precision itself when there are no
+    constraints. Both return the minimum-norm representative and emit
     :class:`NonUniqueSolutionWarning` when flat directions make the
     maximizer non-unique (adding a small ridge to the prior restores
     uniqueness). The iterative path raises :class:`SolverDivergenceError`
@@ -296,18 +322,25 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
 
     fused = prior.combine(observation)
     n = fused.n
-    c_mat, d_vec = fused.constraint_arrays()
-    _, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
-    free = kernel.shape[1]
-    if free == 0:
-        return particular
-
     precision = fused.precision
-    rhs = kernel.T @ (fused.info - precision @ particular)
+    c_mat, d_vec = fused.constraint_arrays()
+    if c_mat.shape[0] == 0:
+        # the kernel is the whole space: run CG on the precision itself
+        kernel = None
+        rhs = fused.info
 
-    def apply_op(y):
-        return kernel.T @ (precision @ (kernel @ y))
+        def apply_op(y):
+            return precision @ y
+    else:
+        _, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
+        if kernel.shape[1] == 0:
+            return particular
+        rhs = kernel.T @ (fused.info - precision @ particular)
 
+        def apply_op(y):
+            return kernel.T @ (precision @ (kernel @ y))
+
+    free = rhs.shape[0]
     if max_iter is None:
         max_iter = max(10 * free, 50)
     solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter)
@@ -324,6 +357,8 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
             NonUniqueSolutionWarning,
             stacklevel=2,
         )
+    if kernel is None:
+        return solution
     return particular + kernel @ solution
 
 

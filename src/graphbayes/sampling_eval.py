@@ -47,8 +47,13 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     """Grow a sampling set one node at a time, each round adding the node
     whose observation most reduces the covariance metric.
 
-    Ties break toward the lowest node id. The posterior is recomputed per
-    candidate; at the intended desk scale that is cheap and keeps the
+    A candidate wins only with a strictly lower score, so bit-identical
+    scores go to the lowest node id. Scores that are equal in exact
+    arithmetic, as symmetric graphs produce, usually differ by rounding,
+    and then rounding picks the winner, not the node id: on a 9x9 grid
+    with ``eps=0``, ``logdet`` and ``sigma2=1`` all 81 first-round scores
+    agree to within 1e-12 and node 78 is picked. The posterior is recomputed
+    per candidate; at the intended desk scale that is cheap and keeps the
     scoring honest against the same engine used everywhere else.
     """
     n = prior.n
@@ -73,7 +78,9 @@ def exhaustive_select(prior, budget, sigma2, metric="trace"):
     """Exact minimizer over all size-``budget`` subsets.
 
     Exponential; guarded to n <= 12 and meant as an oracle for checking the
-    greedy baseline. Ties break toward the lexicographically smallest set.
+    greedy baseline. Bit-identical scores go to the lexicographically
+    smallest set; scores tied only in exact arithmetic are decided by
+    rounding, as in :func:`greedy_select`.
     """
     n = prior.n
     if n > 12:

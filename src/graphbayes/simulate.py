@@ -113,19 +113,22 @@ def _estimator_matrix(prior, operator, sigma2, summary):
     """Matrix mapping observed values to the posterior mean.
 
     The mean is linear in the observations here because the prior carries no
-    information vector. With positive noise it is ``covariance @ S / sigma2``;
-    in the noise-free limit each column is the constrained mean for a unit
-    observation.
+    information vector, and both forms are read off ``summary``, the
+    posterior for an all-zero observation, with no further ``fuse``. With
+    positive noise it is ``covariance @ S / sigma2``, ``S`` the selection
+    matrix. In the noise-free limit column j is the constrained mean for a
+    unit observation at the j-th sampled node: the minimum-norm point
+    ``S e_j`` of the node-pinning constraints, moved by the finite-variance
+    part of the posterior against the prior's pull, which gives
+    ``S - cov_basis diag(cov_values) cov_basis' P_prior S``.
     """
+    nodes = list(operator.nodes)
     if sigma2 > 0:
         cov = posterior_covariance(summary)
-        return cov[:, list(operator.nodes)] / sigma2
-    columns = np.empty((operator.n, operator.n_s))
-    for j in range(operator.n_s):
-        unit = np.zeros(operator.n_s)
-        unit[j] = 1.0
-        columns[:, j] = fuse(prior, partial_observation(operator, unit, 0.0)).mean
-    return columns
+        return cov[:, nodes] / sigma2
+    basis = summary.cov_basis
+    pull = basis.T @ prior.precision[:, nodes]
+    return operator.matrix() - basis @ (summary.cov_values[:, None] * pull)
 
 
 def run_calibration(config):

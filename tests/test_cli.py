@@ -164,6 +164,27 @@ class TestUncertainty:
         assert code == 1
         assert "nonzero" in err
 
+    def test_huge_declared_node_count_exits_one(self, capsys, tmp_path):
+        # A 10^6-node graph needs a 7.28 TiB dense Laplacian. Under heuristic
+        # or strict overcommit the allocation is refused at once; under
+        # "always overcommit" it would be granted and then touched.
+        try:
+            with open("/proc/sys/vm/overcommit_memory", encoding="ascii") as handle:
+                if handle.read().strip() == "1":
+                    pytest.skip("memory overcommit is unconditional on this host")
+        except OSError:
+            pass
+        graph = tmp_path / "huge.edges"
+        graph.write_text("# n=1000000\n0 1\n")
+        code, out, err = run_cli(
+            capsys,
+            ["uncertainty", str(graph), "--sigma2", "1", "--direction", "node:0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "1000000" in err
+
 
 class TestSimulate:
     def test_grid_run_produces_report(self, capsys):

@@ -2,6 +2,7 @@
 classical subspace reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from graphbayes import (
     spectral_uncertainty,
     subspace_prior,
 )
+from graphbayes.inference import RANK_TOL, _conjugate_gradient
 
 from helpers import random_connected_graph, random_graph, two_component_graph
 
@@ -455,3 +457,142 @@ class TestPerfectReconstructibility:
             if reconstructible:
                 rebuilt = perfect_reconstruct(basis, op, truth[list(nodes)])
                 assert np.max(np.abs(summary.mean - rebuilt)) <= 1e-8
+
+
+# Reference implementations of the unconstrained paths as they were before
+# fuse and solve_map stopped projecting through an identity kernel, and of
+# spectral_uncertainty as one directional query per eigenvector.
+
+def _fuse_through_identity_kernel(prior, observation):
+    fused = prior.combine(observation)
+    n = fused.n
+    kernel = np.eye(n)
+    particular = np.zeros(n)
+    projected = kernel.T @ fused.precision @ kernel
+    projected = 0.5 * (projected + projected.T)
+    evals, evecs = np.linalg.eigh(projected)
+    finite = evals >= RANK_TOL * max(float(evals[-1]), 1.0)
+    g = kernel.T @ (fused.info - fused.precision @ particular)
+    g_rot = evecs.T @ g
+    y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
+    return {
+        "mean": particular + kernel @ y,
+        "cov_basis": kernel @ evecs[:, finite],
+        "cov_values": 1.0 / evals[finite],
+        "null_basis": kernel @ evecs[:, ~finite],
+        "zero_basis": np.zeros((n, 0)),
+    }
+
+
+def _solve_map_through_identity_kernel(prior, observation, rtol=1e-10):
+    fused = prior.combine(observation)
+    n = fused.n
+    kernel = np.eye(n)
+    particular = np.zeros(n)
+    precision = fused.precision
+    rhs = kernel.T @ (fused.info - precision @ particular)
+
+    def apply_op(y):
+        return kernel.T @ (precision @ (kernel @ y))
+
+    solution = _conjugate_gradient(apply_op, rhs, rtol, max(10 * n, 50))
+    return particular + kernel @ solution
+
+
+def _spectral_uncertainty_per_direction(summary, spectrum):
+    return np.array([
+        directional_uncertainty(summary, spectrum.vectors[:, i])
+        for i in range(spectrum.n)
+    ])
+
+
+def _assert_identical(actual, expected):
+    # equal values and equal signs of zero: a -0.0 would print as "-0"
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _unconstrained_cases():
+    """(prior, observation): eps=0 with an unobserved flat component, eps>0."""
+    rng = np.random.default_rng(91)
+    lap = laplacian(two_component_graph())
+    hidden = SamplingOperator(n=10, nodes=(0, 1, 2, 3, 4))
+    yield (smoothness_prior(lap, 0.0),
+           partial_observation(hidden, rng.standard_normal(5), 0.7))
+    g = random_graph(rng, 30, edge_prob=0.15)
+    some = SamplingOperator(n=30, nodes=tuple(range(0, 30, 3)))
+    yield (smoothness_prior(laplacian(g), 0.25),
+           partial_observation(some, rng.standard_normal(some.n_s), 1.3))
+    yield (smoothness_prior(laplacian(g), 1e-3),
+           full_observation(rng.standard_normal(30), 2.0))
+
+
+class TestUnconstrainedFastPaths:
+    def test_fuse_is_identical_to_identity_kernel_projection(self):
+        cases = list(_unconstrained_cases())
+        assert fuse(*cases[0]).null_basis.shape[1] == 1  # the hidden component
+        for prior, obs in cases:
+            summary = fuse(prior, obs)
+            expected = _fuse_through_identity_kernel(prior, obs)
+            for name, value in expected.items():
+                _assert_identical(getattr(summary, name), value)
+            # same memory layout too, so later products round the same way
+            oracle_variances = (expected["cov_basis"] ** 2) @ expected["cov_values"]
+            finite = np.isfinite(node_variances(summary))
+            _assert_identical(node_variances(summary)[finite], oracle_variances[finite])
+
+    def test_iterative_map_is_identical_to_identity_kernel_cg(self):
+        for prior, obs in _unconstrained_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonUniqueSolutionWarning)
+                solution = solve_map(prior, obs, "iterative")
+            _assert_identical(solution, _solve_map_through_identity_kernel(prior, obs))
+
+
+class TestBatchedSpectralUncertainty:
+    @staticmethod
+    def _check(summary, spectrum):
+        batched = spectral_uncertainty(summary, spectrum)
+        looped = _spectral_uncertainty_per_direction(summary, spectrum)
+        np.testing.assert_array_equal(np.isinf(batched), np.isinf(looped))
+        finite = np.isfinite(looped)
+        # directions fixed by constraints come out as rounding noise near 0,
+        # so relative agreement is taken on the scale of the largest variance
+        scale = np.max(summary.cov_values, initial=0.0)
+        np.testing.assert_allclose(batched[finite], looped[finite],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        return batched
+
+    def test_flat_component(self):
+        lap = laplacian(two_component_graph())
+        spec = spectral_decomposition(lap)
+        obs = partial_observation(SamplingOperator(n=10, nodes=(0, 2)), np.ones(2), 0.5)
+        values = self._check(fuse(smoothness_prior(lap, 0.0), obs), spec)
+        assert np.any(np.isinf(values)) and np.any(np.isfinite(values))
+
+    def test_noise_free_subset(self):
+        rng = np.random.default_rng(93)
+        lap = laplacian(random_connected_graph(rng, 20))
+        spec = spectral_decomposition(lap)
+        obs = partial_observation(
+            SamplingOperator(n=20, nodes=(1, 5, 11, 17)), rng.standard_normal(4), 0.0
+        )
+        summary = fuse(smoothness_prior(lap, 0.1), obs)
+        assert summary.zero_basis.shape[1] == 4
+        self._check(summary, spec)
+
+    def test_exact_subspace_prior(self):
+        rng = np.random.default_rng(94)
+        lap = laplacian(random_connected_graph(rng, 16))
+        spec = spectral_decomposition(lap)
+        prior = subspace_prior(bandlimit_basis(spec, float(spec.values[5])), 0.0)
+        # two samples leave part of the 6-dimensional band unseen; eight see it all
+        for nodes, flat in (((0, 9), 4), (tuple(range(0, 16, 2)), 0)):
+            op = SamplingOperator(n=16, nodes=nodes)
+            summary = fuse(prior, partial_observation(op, np.ones(op.n_s), 1.0))
+            assert summary.zero_basis.shape[1] == 10
+            assert summary.null_basis.shape[1] == flat
+            values = self._check(summary, spec)
+            assert np.count_nonzero(np.isinf(values)) >= flat
+            assert np.count_nonzero(values > 1e-3) >= 6 - flat

@@ -14,12 +14,17 @@ from graphbayes import (
     observe,
     path_graph,
     grid_graph,
+    partial_observation,
+    random_geometric_graph,
     render_report_csv,
     run_calibration,
     smoothness_prior,
     spectral_decomposition,
 )
 from graphbayes import _kernels, _rng
+from graphbayes.simulate import _estimator_matrix
+
+from helpers import two_component_graph
 
 
 @pytest.fixture
@@ -187,6 +192,27 @@ class TestRunCalibration:
         report = run_calibration(cfg)
         np.testing.assert_allclose(report.mse[[0, 3]], 0.0, atol=1e-20)
         np.testing.assert_allclose(report.variance[[0, 3]], 0.0, atol=1e-12)
+
+    def test_noise_free_estimator_matches_one_fuse_per_column(self):
+        # reference: the constrained mean for a unit observation at each
+        # sampled node, one fuse per column
+        cases = [
+            (laplacian(grid_graph(5, 4)), 0.05, (0, 3, 7, 12, 19)),
+            (laplacian(random_geometric_graph(25, 0.35, seed=3)), 1e-6, (2, 8, 9, 20)),
+            # eps=0 and a component without samples: flat directions
+            (laplacian(two_component_graph()), 0.0, (0, 3)),
+        ]
+        for lap, eps, nodes in cases:
+            prior = smoothness_prior(lap, eps)
+            op = SamplingOperator(n=lap.shape[0], nodes=nodes)
+            summary = fuse(prior, partial_observation(op, np.zeros(op.n_s), 0.0))
+            expected = np.empty((op.n, op.n_s))
+            for j in range(op.n_s):
+                unit = np.zeros(op.n_s)
+                unit[j] = 1.0
+                expected[:, j] = fuse(prior, partial_observation(op, unit, 0.0)).mean
+            estimator = _estimator_matrix(prior, op, 0.0, summary)
+            np.testing.assert_allclose(estimator, expected, rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials"):
