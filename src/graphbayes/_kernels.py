@@ -1,66 +1,44 @@
-"""Hot Monte Carlo kernel with a numba fast path and a pure-numpy fallback.
+"""Hot Monte Carlo kernel in numpy.
 
-The active backend defaults to numba when importable and can be forced to
-the numpy path by setting the environment variable
-``GRAPHBAYES_DISABLE_NUMBA`` to 1/true/yes before import, or at runtime via
-:func:`set_backend` (used by the tests and the benchmark).
-
-Both backends consume bit-identical uniform streams; accumulated results
-agree to floating-point tolerance but not bit-for-bit, because transcendental
-functions and matmul summation order differ between the two. Each backend on
-its own is fully deterministic for a fixed seed.
+The kernel draws its normals from the counter streams of :mod:`._rng` in
+fixed chunks of trials, so a fixed seed gives the same result bit for bit
+on every run.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _rng
 
-__all__ = ["active_backend", "set_backend", "calibration_mse"]
-
-_ENV_FLAG = "GRAPHBAYES_DISABLE_NUMBA"
-
-try:
-    import numba
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAS_NUMBA = False
-
-
-def _env_disabled():
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_backend = "numpy" if (_env_disabled() or not _HAS_NUMBA) else "numba"
+__all__ = ["active_backend", "calibration_mse"]
 
 
 def active_backend():
-    """Name of the backend currently answering kernel calls."""
-    return _backend
+    """Name of the backend answering kernel calls."""
+    # numpy is the only backend; the name stays for callers that report it
+    return "numpy"
 
 
-def set_backend(name):
-    """Force the kernel backend; returns the previous one."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if name == "numba" and not _HAS_NUMBA:
-        raise RuntimeError("numba is not available in this environment")
-    previous = _backend
-    _backend = name
-    return previous
-
-
-# Fixed accumulation chunk for the numpy path: bounds temporary memory and
-# pins the floating-point summation order run to run.
+# Fixed accumulation chunk: bounds temporary memory and pins the
+# floating-point summation order run to run.
 _CHUNK = 256
 
 
-def _calibration_numpy(seed, trials, vectors, scale, estimator, sample, sigma):
+def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
+    """Per-node mean squared estimation error over seeded trials.
+
+    Trial t draws a signal ``vectors @ (scale * xi)`` with ``xi`` standard
+    normal from substream t, observes it on ``sample`` with noise scale
+    ``sigma``, applies the linear ``estimator`` and accumulates squared
+    per-node errors.
+    """
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    scale = np.ascontiguousarray(scale, dtype=np.float64)
+    estimator = np.ascontiguousarray(estimator, dtype=np.float64)
+    sample = np.ascontiguousarray(sample, dtype=np.int64)
+    seed = int(seed)
+    sigma = float(sigma)
     n = vectors.shape[0]
     pair_offset = (n + 1) // 2
     n_s = sample.shape[0]
@@ -76,75 +54,3 @@ def _calibration_numpy(seed, trials, vectors, scale, estimator, sample, sigma):
         err = estimates - signals
         acc += (err * err).sum(axis=0)
     return acc / trials
-
-
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _mix_jit(z):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @numba.njit(cache=True)
-    def _fill_normals_jit(key, start_pair, out):
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        to_unit = 2.0 ** -53
-        count = out.shape[0]
-        pairs = (count + 1) // 2
-        base = np.uint64(2 * start_pair)
-        for m in range(pairs):
-            z1 = _mix_jit(key + (base + np.uint64(2 * m + 1)) * golden)
-            z2 = _mix_jit(key + (base + np.uint64(2 * m + 2)) * golden)
-            u1 = (np.float64(z1 >> np.uint64(11)) + 0.5) * to_unit
-            u2 = (np.float64(z2 >> np.uint64(11)) + 0.5) * to_unit
-            radius = np.sqrt(-2.0 * np.log(u1))
-            angle = 2.0 * np.pi * u2
-            out[2 * m] = radius * np.cos(angle)
-            if 2 * m + 1 < count:
-                out[2 * m + 1] = radius * np.sin(angle)
-
-    @numba.njit(cache=True)
-    def _calibration_jit(seed, trials, vectors, scale, estimator, sample, sigma):
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        n = vectors.shape[0]
-        n_s = sample.shape[0]
-        pair_offset = (n + 1) // 2
-        acc = np.zeros(n)
-        xi = np.empty(n)
-        eta = np.empty(n_s)
-        observed = np.empty(n_s)
-        for t in range(trials):
-            key = _mix_jit(seed + np.uint64(t + 1) * golden)
-            _fill_normals_jit(key, 0, xi)
-            _fill_normals_jit(key, pair_offset, eta)
-            signal = vectors @ (scale * xi)
-            for j in range(n_s):
-                observed[j] = signal[sample[j]] + sigma * eta[j]
-            estimate = estimator @ observed
-            for i in range(n):
-                diff = estimate[i] - signal[i]
-                acc[i] += diff * diff
-        return acc / trials
-
-
-def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
-    """Per-node mean squared estimation error over seeded trials.
-
-    Trial t draws a signal ``vectors @ (scale * xi)`` with ``xi`` standard
-    normal from substream t, observes it on ``sample`` with noise scale
-    ``sigma``, applies the linear ``estimator`` and accumulates squared
-    per-node errors.
-    """
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    scale = np.ascontiguousarray(scale, dtype=np.float64)
-    estimator = np.ascontiguousarray(estimator, dtype=np.float64)
-    sample = np.ascontiguousarray(sample, dtype=np.int64)
-    if _backend == "numba":
-        return _calibration_jit(
-            np.uint64(int(seed) & ((1 << 64) - 1)),
-            trials, vectors, scale, estimator, sample, float(sigma),
-        )
-    return _calibration_numpy(
-        int(seed), trials, vectors, scale, estimator, sample, float(sigma)
-    )

@@ -4,8 +4,9 @@ Uniform variates come from hashing a 64-bit counter with the splitmix64
 finalizer; normal variates apply the Box-Muller transform to consecutive
 uniform pairs. Streams are stateless functions of (seed, stream, counter),
 so any trial can be regenerated in isolation and parallel execution cannot
-change the numbers. Integer hashing is exact, which makes the uniform
-streams bit-identical between the numpy and numba backends.
+change the numbers. The scalar helpers ``mix64`` and ``stream_key`` work on
+Python ints; every array of variates comes from the block functions, so
+single streams and blocks share one hashing and one Box-Muller path.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ def stream_keys(seed, start, stop):
 
 def uniforms(key, start, count):
     """``count`` uniforms in (0, 1) at counter positions ``start`` on."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = _mix_u64(np.uint64(key) + idx * np.uint64(GOLDEN))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    return uniforms_block(np.array([key], dtype=np.uint64), start, count)[0]
 
 
 def uniforms_block(keys, start, count):
@@ -73,8 +72,7 @@ def _box_muller(u, out_len):
 def normals(key, start_pair, count):
     """``count`` standard normals; pair ``m`` consumes uniform counters
     ``2 m`` and ``2 m + 1`` offset by ``2 * start_pair``."""
-    pairs = (count + 1) // 2
-    return _box_muller(uniforms(key, 2 * start_pair, 2 * pairs), count)
+    return normals_block(np.array([key], dtype=np.uint64), start_pair, count)[0]
 
 
 def normals_block(keys, start_pair, count):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .graph_core import _as_signal, _require_symmetric
 
@@ -193,7 +192,8 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
         prec = ((1.0 + eps) * np.eye(n) - u @ u.T) / sigma2_prior
         prec = 0.5 * (prec + prec.T)
         return GaussianBelief(n=n, precision=prec, info=np.zeros(n))
-    complement = null_space(u.T)
+    # the columns of u are orthonormal, so u.T has rank subspace.dim
+    complement = np.linalg.svd(u.T)[2][subspace.dim:].T
     constraints = tuple((complement[:, j], 0.0) for j in range(complement.shape[1]))
     return GaussianBelief(
         n=n, precision=np.zeros((n, n)), info=np.zeros(n), constraints=constraints
@@ -207,19 +207,8 @@ def full_observation(observed, sigma2):
     observed value.
     """
     observed = np.asarray(observed, dtype=np.float64)
-    n = observed.shape[0]
-    observed = _as_signal(observed, n, name="observation")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
-    if sigma2 == 0:
-        eye = np.eye(n)
-        constraints = tuple((eye[i], observed[i]) for i in range(n))
-        return GaussianBelief(
-            n=n, precision=np.zeros((n, n)), info=np.zeros(n),
-            constraints=constraints,
-        )
-    return GaussianBelief(
-        n=n, precision=np.eye(n) / sigma2, info=observed / sigma2
+    return partial_observation(
+        SamplingOperator.all_nodes(observed.shape[0]), observed, sigma2
     )
 
 
@@ -229,8 +218,7 @@ def partial_observation(sampling, observed_s, sigma2):
     The precision is lifted to signal space: ``sigma2 > 0`` gives a diagonal
     precision carrying ``1/sigma2`` on sampled nodes and zero elsewhere (an
     unsampled node contributes no information). ``sigma2 = 0`` pins each
-    sampled node exactly. Sampling all nodes reproduces
-    :func:`full_observation` entry for entry.
+    sampled node exactly.
     """
     n = sampling.n
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")

@@ -102,15 +102,13 @@ def _freeze(arr):
     return out
 
 
-def _reduce_constraints(c_mat, d_vec, n):
-    """Orthonormalize constraint rows and solve them.
+def _reduce_constraints(c_mat, d_vec):
+    """Orthonormalize constraint rows (at least one) and solve them.
 
     Returns ``(zero_basis, kernel_basis, particular)`` where ``particular``
     is the minimum-norm point satisfying all constraints. Raises
     :class:`InconsistentConstraintsError` when the system has no solution.
     """
-    if c_mat.shape[0] == 0:
-        return np.zeros((n, 0)), np.eye(n), np.zeros(n)
     _, svals, vt = np.linalg.svd(c_mat, full_matrices=True)
     cutoff = max(c_mat.shape) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
@@ -134,8 +132,10 @@ def fuse(prior, observation):
     proportional to ``exp(-x' P x / 2 + h' x)`` with ``P`` and ``h`` the
     summed finite parts. The constraint kernel is eigendecomposed under the
     projected precision; eigenvalues below ``RANK_TOL`` times the largest
-    one (floor 1) are classified as flat. The mean is the minimum-norm
-    representative when flat directions exist.
+    one (floor 1) are classified as flat, and one below minus that cut
+    raises ``ValueError``: the fused precision must be positive
+    semidefinite. The mean is the minimum-norm representative when flat
+    directions exist.
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
@@ -149,7 +149,7 @@ def fuse(prior, observation):
         projected = fused.precision + fused.precision.T
         g = fused.info
     else:
-        zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
+        zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec)
         if kernel.shape[1] == 0:
             return PosteriorSummary(
                 mean=_freeze(particular),
@@ -165,6 +165,11 @@ def fuse(prior, observation):
     projected *= 0.5
     evals, evecs = np.linalg.eigh(projected)
     tau = RANK_TOL * max(float(evals[-1]), 1.0)
+    if evals[0] < -tau:
+        raise ValueError(
+            "fused precision is indefinite: eigenvalue "
+            f"{float(evals[0]):.3e} lies below -tau = {-tau:.3e}"
+        )
     finite = evals >= tau
 
     g_rot = evecs.T @ g
@@ -321,7 +326,6 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
         raise ValueError(f"unknown method {method!r}")
 
     fused = prior.combine(observation)
-    n = fused.n
     precision = fused.precision
     c_mat, d_vec = fused.constraint_arrays()
     if c_mat.shape[0] == 0:
@@ -332,7 +336,7 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
         def apply_op(y):
             return precision @ y
     else:
-        _, kernel, particular = _reduce_constraints(c_mat, d_vec, n)
+        _, kernel, particular = _reduce_constraints(c_mat, d_vec)
         if kernel.shape[1] == 0:
             return particular
         rhs = kernel.T @ (fused.info - precision @ particular)

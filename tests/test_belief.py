@@ -9,6 +9,7 @@ from graphbayes import (
     SubspaceBasis,
     bandlimit_basis,
     full_observation,
+    grid_graph,
     laplacian,
     partial_observation,
     path_graph,
@@ -115,6 +116,22 @@ class TestSubspacePrior:
         prior = subspace_prior(basis, sigma2_prior=0.0)
         assert prior.constraints == ()
         np.testing.assert_array_equal(prior.precision, np.zeros((3, 3)))
+
+    def test_exact_limit_complement_matches_scipy_null_space(self):
+        null_space = pytest.importorskip("scipy.linalg").null_space
+        bases = [
+            bandlimit_basis(spectral_decomposition(laplacian(grid_graph(w, w))), band)
+            for w, band in ((4, 0.5), (8, 0.5), (8, 2.0), (16, 0.5), (16, 1.0))
+        ]
+        bases.append(SubspaceBasis(basis=np.eye(5)))
+        for subspace in bases:
+            prior = subspace_prior(subspace, sigma2_prior=0.0)
+            rows = np.array([row for row, _ in prior.constraints]).reshape(-1, subspace.n)
+            reference = null_space(subspace.basis.T)
+            assert rows.shape == reference.T.shape
+            np.testing.assert_allclose(
+                rows.T @ rows, reference @ reference.T, rtol=0, atol=1e-12
+            )
 
     def test_negative_parameters_rejected(self):
         ones = SubspaceBasis(basis=np.array([[INV_SQRT2], [INV_SQRT2]]))

@@ -9,6 +9,7 @@ import pytest
 
 from graphbayes import (
     DegradedRankWarning,
+    GaussianBelief,
     Graph,
     InconsistentConstraintsError,
     InfiniteVarianceError,
@@ -120,6 +121,17 @@ class TestFuseClosedForm:
         obs_b = partial_observation(SamplingOperator(n=2, nodes=(0,)), np.array([6.0]), 0.0)
         with pytest.raises(InconsistentConstraintsError):
             fuse(obs_a, obs_b)
+
+    def test_indefinite_precision_raises(self):
+        # a negative eigenvalue is not a flat direction: it has no Gaussian
+        indefinite = GaussianBelief(n=3, precision=np.diag([1.0, -1.0, 2.0]), info=np.zeros(3))
+        vacuous = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3))
+        with pytest.raises(ValueError, match="indefinite.*-1.000e\\+00.*tau"):
+            fuse(indefinite, vacuous)
+        pinned = full_observation(np.zeros(3), 0.0).constraints[:1]
+        with pytest.raises(ValueError, match="indefinite"):
+            fuse(indefinite, GaussianBelief(n=3, precision=np.zeros((3, 3)),
+                                            info=np.zeros(3), constraints=pinned))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

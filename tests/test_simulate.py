@@ -1,5 +1,9 @@
 """Seeded draws, observation noise, and Monte Carlo calibration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -66,6 +70,22 @@ class TestCounterStreams:
         for t in range(8):
             row = _rng.normals(_rng.stream_key(5, t), 0, 7)
             np.testing.assert_allclose(block[t], row, rtol=0, atol=1e-15)
+
+    def test_golden_values(self):
+        # recorded from the stream definition; any change to the hashing,
+        # key derivation or Box-Muller arithmetic shows up here
+        keys = _rng.stream_keys(99, 0, 3)
+        assert [int(k) for k in keys] == [
+            4824385676517010403, 583982616703494564, 15398599001720869627,
+        ]
+        assert [float(z).hex() for z in CounterRng(123, stream=4).normals(5)] == [
+            "0x1.7d6308586f99bp-1", "0x1.f0a99f8e11441p-2",
+            "-0x1.806c60e2a583ap-3", "0x1.85b85b40f5a1bp-3",
+            "0x1.73526cd828161p+0",
+        ]
+        assert [float(u).hex() for u in _rng.uniforms(_rng.stream_key(7, 0), 3, 3)] == [
+            "0x1.355e43b052dc4p-1", "0x1.646972a582333p-2", "0x1.7551f69e6c4cap-3",
+        ]
 
     def test_moment_sanity(self):
         z = _rng.normals_block(_rng.stream_keys(11, 0, 200), 0, 500).ravel()
@@ -222,30 +242,18 @@ class TestRunCalibration:
 
 
 class TestBackends:
-    def test_backends_agree_to_float_tolerance(self):
-        if not _kernels._HAS_NUMBA:
-            pytest.skip("numba backend unavailable")
-        cfg = ExperimentConfig(graph=grid_graph(3, 3), eps=0.01, sigma2=1.5, trials=500, seed=13)
-        reports = {}
-        for backend in ("numpy", "numba"):
-            previous = _kernels.set_backend(backend)
-            try:
-                reports[backend] = run_calibration(cfg)
-            finally:
-                _kernels.set_backend(previous)
-        np.testing.assert_array_equal(
-            reports["numpy"].variance, reports["numba"].variance
-        )
-        np.testing.assert_allclose(
-            reports["numba"].mse, reports["numpy"].mse, rtol=1e-10
-        )
-
-    def test_set_backend_validates(self):
-        with pytest.raises(ValueError):
-            _kernels.set_backend("tensorflow")
-
     def test_active_backend_reports(self):
-        assert _kernels.active_backend() in ("numba", "numpy")
+        assert _kernels.active_backend() == "numpy"
+
+    def test_import_loads_neither_scipy_nor_numba(self):
+        code = (
+            "import sys, graphbayes\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] in ('scipy', 'numba'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 class TestReportCsv:
