@@ -42,9 +42,10 @@ __all__ = [
     "is_perfectly_reconstructible",
 ]
 
-# Relative eigenvalue cut separating finite from infinite variance: the
-# threshold scales with the largest projected precision eigenvalue (floor 1)
-# so that graph size and noise scale do not shift the classification.
+# Relative eigenvalue cut separating finite from infinite variance, shared
+# by fuse and conjugate gradient: tau is RANK_TOL times the largest diagonal
+# entry of the fused precision P (for a positive semidefinite P, its largest
+# |P_ij|), so the units of the signal do not shift it.
 RANK_TOL = 1e-10
 
 # Tolerance on the component of a query direction inside the flat subspace.
@@ -106,23 +107,47 @@ def _reduce_constraints(c_mat, d_vec):
     """Orthonormalize constraint rows (at least one) and solve them.
 
     Returns ``(zero_basis, kernel_basis, particular)`` where ``particular``
-    is the minimum-norm point satisfying all constraints. Raises
-    :class:`InconsistentConstraintsError` when the system has no solution.
+    is the minimum-norm point satisfying all constraints, taken from the
+    same SVD. Raises :class:`InconsistentConstraintsError` when that point
+    misses a constraint by more than ``_CONSISTENCY_TOL`` times the largest
+    constraint value.
     """
-    _, svals, vt = np.linalg.svd(c_mat, full_matrices=True)
-    cutoff = max(c_mat.shape) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
+    u, svals, vt = np.linalg.svd(c_mat, full_matrices=True)
+    cutoff = max(c_mat.shape) * np.finfo(np.float64).eps * svals[0]
     rank = int(np.sum(svals > cutoff))
-    zero_basis = vt[:rank].T
-    kernel_basis = vt[rank:].T
-    particular, *_ = np.linalg.lstsq(c_mat, d_vec, rcond=None)
-    residual = c_mat @ particular - d_vec
-    scale = 1.0 + (np.max(np.abs(d_vec)) if d_vec.size else 0.0)
-    if np.max(np.abs(residual)) > _CONSISTENCY_TOL * scale:
+    particular = vt[:rank].T @ ((u[:, :rank].T @ d_vec) / svals[:rank])
+    violation = np.max(np.abs(c_mat @ particular - d_vec))
+    if violation > _CONSISTENCY_TOL * np.max(np.abs(d_vec)):
         raise InconsistentConstraintsError(
-            "exact constraints are mutually inconsistent "
-            f"(max violation {np.max(np.abs(residual)):.3e})"
+            f"exact constraints are mutually inconsistent (max violation {violation:.3e})"
         )
-    return zero_basis, kernel_basis, particular
+    return vt[:rank].T, vt[rank:].T, particular
+
+
+def _restrict(prior, observation):
+    """Fuse two beliefs and restrict them to the constraint set.
+
+    Returns the fused precision, the constraint kernel basis (``None``
+    without constraints: the whole space), the constrained directions, the
+    minimum-norm feasible point, the fused information on the kernel
+    shifted by that point, and the eigenvalue cut ``tau``.
+    """
+    fused = prior.combine(observation)
+    precision = fused.precision
+    tau = RANK_TOL * float(precision.diagonal().max(initial=0.0))
+    c_mat, d_vec = fused.constraint_arrays()
+    if c_mat.shape[0] == 0:
+        return precision, None, np.zeros((fused.n, 0)), np.zeros(fused.n), fused.info, tau
+    zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec)
+    info = kernel.T @ (fused.info - precision @ particular)
+    return precision, kernel, zero_basis, particular, info, tau
+
+
+def _indefinite(curvature, tau):
+    return ValueError(
+        "fused precision is indefinite: curvature "
+        f"{curvature:.3e} lies below -tau = {-tau:.3e}"
+    )
 
 
 def fuse(prior, observation):
@@ -131,46 +156,27 @@ def fuse(prior, observation):
     The fused density on the constraint set ``{x : C x = d}`` is
     proportional to ``exp(-x' P x / 2 + h' x)`` with ``P`` and ``h`` the
     summed finite parts. The constraint kernel is eigendecomposed under the
-    projected precision; eigenvalues below ``RANK_TOL`` times the largest
-    one (floor 1) are classified as flat, and one below minus that cut
-    raises ``ValueError``: the fused precision must be positive
-    semidefinite. The mean is the minimum-norm representative when flat
-    directions exist.
+    projected precision; eigenvalues above the cut ``tau``, ``RANK_TOL``
+    times the largest diagonal entry of ``P``, have finite variance, the
+    others are flat, and one below ``-tau`` raises ``ValueError``: the fused
+    precision must be positive semidefinite. The mean is the minimum-norm
+    representative when flat directions exist.
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
     directly, with no projection through an identity kernel.
     """
-    fused = prior.combine(observation)
-    n = fused.n
-    c_mat, d_vec = fused.constraint_arrays()
-    if c_mat.shape[0] == 0:
-        kernel, zero_basis, particular = None, np.zeros((n, 0)), np.zeros(n)
-        projected = fused.precision + fused.precision.T
-        g = fused.info
+    precision, kernel, zero_basis, particular, g, tau = _restrict(prior, observation)
+    if kernel is None:
+        projected = precision + precision.T
     else:
-        zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec)
-        if kernel.shape[1] == 0:
-            return PosteriorSummary(
-                mean=_freeze(particular),
-                cov_basis=_freeze(np.zeros((n, 0))),
-                cov_values=_freeze(np.zeros(0)),
-                null_basis=_freeze(np.zeros((n, 0))),
-                zero_basis=_freeze(zero_basis),
-            )
-        projected = kernel.T @ fused.precision @ kernel
+        projected = kernel.T @ precision @ kernel
         projected = projected + projected.T
-        # h restricted to the kernel, shifted by the particular solution
-        g = kernel.T @ (fused.info - fused.precision @ particular)
     projected *= 0.5
     evals, evecs = np.linalg.eigh(projected)
-    tau = RANK_TOL * max(float(evals[-1]), 1.0)
-    if evals[0] < -tau:
-        raise ValueError(
-            "fused precision is indefinite: eigenvalue "
-            f"{float(evals[0]):.3e} lies below -tau = {-tau:.3e}"
-        )
-    finite = evals >= tau
+    if evals.size and evals[0] < -tau:
+        raise _indefinite(float(evals[0]), tau)
+    finite = evals > tau
 
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
@@ -269,9 +275,10 @@ def spectral_uncertainty(summary, spectrum):
     return variances
 
 
-def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None):
+def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
     """CG for a symmetric PSD operator; minimum-norm solution from x0=0
-    when the right-hand side lies in the operator's range."""
+    when the right-hand side lies in the operator's range. A curvature
+    ``p'Ap / p'p`` below ``-tau`` raises as in :func:`fuse`."""
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.float64).copy()
     r = rhs - apply_op(x)
     target = rtol * max(np.linalg.norm(rhs), np.linalg.norm(r))
@@ -281,9 +288,11 @@ def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None):
     rs = float(r @ r)
     for _ in range(max_iter):
         ap = apply_op(p)
-        p_ap = float(p @ ap)
-        if p_ap <= 0.0:
-            break  # flat or numerically indefinite direction; stop moving
+        p_ap, p_p = float(p @ ap), float(p @ p)
+        if p_ap < -tau * p_p:
+            raise _indefinite(p_ap / p_p, tau)
+        if p_ap <= tau * p_p:
+            break  # flat direction; stop moving
         alpha = rs / p_ap
         x += alpha * p
         r -= alpha * ap
@@ -308,62 +317,44 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     constraints. Both return the minimum-norm representative and emit
     :class:`NonUniqueSolutionWarning` when flat directions make the
     maximizer non-unique (adding a small ridge to the prior restores
-    uniqueness). The iterative path raises :class:`SolverDivergenceError`
+    uniqueness), and both raise ``ValueError`` on an indefinite fused
+    precision. The iterative path raises :class:`SolverDivergenceError`
     with the iteration count if it cannot reach ``rtol``.
     """
     if method == "closed_form":
         summary = fuse(prior, observation)
-        if not summary.unique_mean:
-            warnings.warn(
-                "estimation problem has flat directions; returning the "
-                "minimum-norm solution",
-                NonUniqueSolutionWarning,
-                stacklevel=2,
-            )
-        return summary.mean
+        mean, unique = summary.mean, summary.unique_mean
+    elif method == "iterative":
+        precision, kernel, _, particular, rhs, tau = _restrict(prior, observation)
+        if kernel is None:
+            # the kernel is the whole space: run CG on the precision itself
+            def apply_op(y):
+                return precision @ y
+        else:
+            def apply_op(y):
+                return kernel.T @ (precision @ (kernel @ y))
 
-    if method != "iterative":
-        raise ValueError(f"unknown method {method!r}")
-
-    fused = prior.combine(observation)
-    precision = fused.precision
-    c_mat, d_vec = fused.constraint_arrays()
-    if c_mat.shape[0] == 0:
-        # the kernel is the whole space: run CG on the precision itself
-        kernel = None
-        rhs = fused.info
-
-        def apply_op(y):
-            return precision @ y
+        free = rhs.shape[0]
+        if max_iter is None:
+            max_iter = max(10 * free, 50)
+        solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter, tau=tau)
+        # Flat directions are invisible to CG started at zero: re-solving
+        # from a seeded random point leaves its flat component untouched, so
+        # any disagreement between the two runs reveals non-uniqueness.
+        probe_start = np.random.default_rng(0x5EED).standard_normal(free)
+        probe = _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=probe_start, tau=tau)
+        unique = np.linalg.norm(probe - solution) <= 1e-6 * (1.0 + np.linalg.norm(solution))
+        mean = particular + (solution if kernel is None else kernel @ solution)
     else:
-        _, kernel, particular = _reduce_constraints(c_mat, d_vec)
-        if kernel.shape[1] == 0:
-            return particular
-        rhs = kernel.T @ (fused.info - precision @ particular)
-
-        def apply_op(y):
-            return kernel.T @ (precision @ (kernel @ y))
-
-    free = rhs.shape[0]
-    if max_iter is None:
-        max_iter = max(10 * free, 50)
-    solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter)
-
-    # Flat directions are invisible to CG started at zero: re-solving from a
-    # seeded random point leaves its flat component untouched, so any
-    # disagreement between the two runs reveals non-uniqueness.
-    probe_start = np.random.default_rng(0x5EED).standard_normal(free)
-    probe = _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=probe_start)
-    if np.linalg.norm(probe - solution) > 1e-6 * (1.0 + np.linalg.norm(solution)):
+        raise ValueError(f"unknown method {method!r}")
+    if not unique:
         warnings.warn(
             "estimation problem has flat directions; returning the "
             "minimum-norm solution",
             NonUniqueSolutionWarning,
             stacklevel=2,
         )
-    if kernel is None:
-        return solution
-    return particular + kernel @ solution
+    return mean
 
 
 def perfect_reconstruct(subspace, sampling, observed_s):
@@ -397,7 +388,7 @@ def perfect_reconstruct(subspace, sampling, observed_s):
             DegradedRankWarning,
             stacklevel=2,
         )
-        coeffs, *_ = np.linalg.lstsq(sampled_rows, observed_s, rcond=None)
+        coeffs = np.linalg.pinv(sampled_rows) @ observed_s
     return subspace.basis @ coeffs
 
 

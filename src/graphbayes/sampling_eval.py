@@ -62,13 +62,7 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     selected = []
     remaining = list(range(n))
     for _ in range(budget):
-        best_node = None
-        best_value = math.inf
-        for candidate in remaining:
-            value = _score(prior, selected + [candidate], sigma2, metric)
-            if best_node is None or value < best_value:
-                best_node = candidate
-                best_value = value
+        best_node = min(remaining, key=lambda v: _score(prior, selected + [v], sigma2, metric))
         selected.append(best_node)
         remaining.remove(best_node)
     return SamplingOperator(n=n, nodes=tuple(sorted(selected)))
@@ -87,11 +81,6 @@ def exhaustive_select(prior, budget, sigma2, metric="trace"):
         raise ValueError("exhaustive search is limited to n <= 12")
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
-    best_set = None
-    best_value = math.inf
-    for nodes in itertools.combinations(range(n), budget):
-        value = _score(prior, nodes, sigma2, metric)
-        if best_set is None or value < best_value:
-            best_set = nodes
-            best_value = value
+    best_set = min(itertools.combinations(range(n), budget),
+                   key=lambda nodes: _score(prior, nodes, sigma2, metric))
     return SamplingOperator(n=n, nodes=best_set)

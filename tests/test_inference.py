@@ -22,6 +22,7 @@ from graphbayes import (
     full_observation,
     fuse,
     gft,
+    grid_graph,
     is_perfectly_reconstructible,
     laplacian,
     node_variances,
@@ -132,6 +133,38 @@ class TestFuseClosedForm:
         with pytest.raises(ValueError, match="indefinite"):
             fuse(indefinite, GaussianBelief(n=3, precision=np.zeros((3, 3)),
                                             info=np.zeros(3), constraints=pinned))
+
+    @pytest.mark.parametrize("values, consistent", [
+        ((5.0, 6.0), False), ((5e-9, 6e-9), False), ((5e-9, 5e-9), True), ((0.0, 0.0), True),
+    ])
+    def test_consistency_follows_the_scale_of_the_values(self, values, consistent):
+        op = SamplingOperator(n=2, nodes=(0,))
+        obs_a, obs_b = (partial_observation(op, np.array([v]), 0.0) for v in values)
+        if consistent:
+            assert fuse(obs_a, obs_b).mean[0] == pytest.approx(values[0], rel=1e-12)
+        else:
+            with pytest.raises(InconsistentConstraintsError):
+                fuse(obs_a, obs_b)
+
+    def test_zero_precision_is_flat_everywhere(self):
+        vacuous = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3))
+        summary = fuse(vacuous, vacuous)
+        assert summary.null_basis.shape[1] == 3
+        assert summary.cov_basis.shape[1] == 0
+
+    def test_classification_does_not_depend_on_units(self):
+        # prior c (L + 1e-3 I), noise variance 1/c: the posterior is proper
+        # for every c and its variances scale exactly as 1/c
+        lap = laplacian(grid_graph(6, 6))
+        observed = np.random.default_rng(7).standard_normal(36)
+        scaled = {}
+        for c in (1e-12, 1e-11, 1.0, 1e10):
+            summary = fuse(smoothness_prior(c * lap, c * 1e-3),
+                           full_observation(observed, 1.0 / c))
+            assert summary.cov_basis.shape[1] == 36
+            scaled[c] = c * node_variances(summary)
+        for c, variances in scaled.items():
+            np.testing.assert_allclose(variances, scaled[1.0], rtol=1e-9, atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -326,6 +359,20 @@ class TestSolveMap:
         obs = full_observation(rng.standard_normal(12), 1.0)
         with pytest.raises(SolverDivergenceError, match="after 1 iterations"):
             solve_map(prior, obs, "iterative", max_iter=1)
+
+    @pytest.mark.parametrize("info", [np.ones(3), np.zeros(3)], ids=["ones", "zeros"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["vacuous", "pinned"])
+    @pytest.mark.parametrize("method", ["fuse", "closed_form", "iterative"])
+    def test_indefinite_precision_raises_on_every_path(self, info, pinned, method):
+        indefinite = GaussianBelief(n=3, precision=np.diag([1.0, -1.0, 2.0]), info=info)
+        constraints = full_observation(np.zeros(3), 0.0).constraints[:1] if pinned else ()
+        other = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3),
+                               constraints=constraints)
+        with pytest.raises(ValueError, match="fused precision is indefinite"):
+            if method == "fuse":
+                fuse(indefinite, other)
+            else:
+                solve_map(indefinite, other, method)
 
     def test_unknown_method(self):
         _, summary = p2_setup()  # noqa: F841 - just to build beliefs cheaply
