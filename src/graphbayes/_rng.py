@@ -18,6 +18,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
+_BLOCK_PAIRS = 1 << 13  # Box-Muller pairs per block of rows: 64 KiB temporaries
 
 
 def mix64(z):
@@ -34,10 +35,17 @@ def stream_key(seed, stream):
 
 
 def _mix_u64(z):
+    """splitmix64 finalizer on a uint64 array, in place; returns ``z``."""
     # uint64 array wraparound is intended throughout
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= np.uint64(_MIX_A)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MIX_B)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def stream_keys(seed, start, stop):
@@ -53,20 +61,18 @@ def uniforms(key, start, count):
 
 def uniforms_block(keys, start, count):
     """Row r holds ``uniforms(keys[r], start, count)``."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = _mix_u64(keys[:, None] + idx[None, :] * np.uint64(GOLDEN))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    return _unit(keys, np.arange(start + 1, start + count + 1, dtype=np.uint64))
 
 
-def _box_muller(u, out_len):
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(u.shape[:-1] + (u.shape[-1],))
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
-    return out[..., :out_len]
+def _unit(keys, counters):
+    # uniforms of every key at the given counters, as one fresh array
+    z = _mix_u64(keys[:, None] + counters[None, :] * np.uint64(GOLDEN))
+    z >>= np.uint64(11)
+    # the top 53 bits convert exactly; the doubles overwrite the integers
+    u = z.view(np.float64)
+    np.add(z.view(np.int64), 0.5, out=u, casting="unsafe")
+    u *= _TO_UNIT
+    return u
 
 
 def normals(key, start_pair, count):
@@ -75,10 +81,35 @@ def normals(key, start_pair, count):
     return normals_block(np.array([key], dtype=np.uint64), start_pair, count)[0]
 
 
-def normals_block(keys, start_pair, count):
-    """Row r holds ``normals(keys[r], start_pair, count)``."""
+def normals_block(keys, start_pair, count, out=None):
+    """Row r holds ``normals(keys[r], start_pair, count)``.
+
+    ``out``, if given, is a float64 array of shape ``(len(keys), 2 * pairs)``
+    with ``pairs = (count + 1) // 2``; the normals are written into it and
+    the first ``count`` columns are returned as a view.
+    """
     pairs = (count + 1) // 2
-    return _box_muller(uniforms_block(keys, 2 * start_pair, 2 * pairs), count)
+    if out is None:
+        out = np.empty((keys.shape[0], 2 * pairs))
+    # Box-Muller: pair m takes u1 from uniform position 2 m (counter 2 m + 1)
+    # and u2 from the next one, each hashed as one contiguous array
+    first = np.arange(2 * start_pair + 1, 2 * (start_pair + pairs), 2, dtype=np.uint64)
+    second = first + np.uint64(1)
+    # rows go in blocks so that the temporaries stay small and in cache
+    step = max(1, _BLOCK_PAIRS // max(pairs, 1))
+    for lo in range(0, keys.shape[0], step):
+        block = keys[lo:lo + step]
+        radius = _unit(block, first)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = _unit(block, second)
+        angle *= 2.0 * np.pi
+        trig = np.cos(angle)
+        np.multiply(radius, trig, out=out[lo:lo + step, 0::2])
+        np.sin(angle, out=trig)
+        np.multiply(radius, trig, out=out[lo:lo + step, 1::2])
+    return out[:, :count]
 
 
 class CounterRng:

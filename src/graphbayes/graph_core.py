@@ -301,8 +301,13 @@ def random_geometric_graph(n, radius, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(n, 2))
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(pts[i] - pts[j])) <= radius:
-                edges.append((i, j))
+    rows = max(1, (1 << 16) // n)  # pairs per block stay near 65k
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # block rows i against every later node j > lo, in (i, j) order
+        diff = pts[lo:hi, None, :] - pts[None, lo + 1:, :]
+        close = np.hypot(diff[..., 0], diff[..., 1]) <= radius
+        close &= np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)[None, :]
+        i, j = np.nonzero(close)
+        edges.extend(zip((i + lo).tolist(), (j + lo + 1).tolist()))
     return Graph.from_edges(n, edges)

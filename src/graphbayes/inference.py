@@ -278,7 +278,10 @@ def spectral_uncertainty(summary, spectrum):
 def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
     """CG for a symmetric PSD operator; minimum-norm solution from x0=0
     when the right-hand side lies in the operator's range. A curvature
-    ``p'Ap / p'p`` below ``-tau`` raises as in :func:`fuse`."""
+    ``p'Ap / p'p`` below ``-tau`` raises as in :func:`fuse`; one up to
+    ``tau`` is a flat search direction, which in exact arithmetic only a
+    right-hand side outside the range produces, so it raises
+    :class:`SolverDivergenceError` at once."""
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.float64).copy()
     r = rhs - apply_op(x)
     target = rtol * max(np.linalg.norm(rhs), np.linalg.norm(r))
@@ -286,13 +289,17 @@ def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
         return x
     p = r.copy()
     rs = float(r @ r)
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         ap = apply_op(p)
         p_ap, p_p = float(p @ ap), float(p @ p)
         if p_ap < -tau * p_p:
             raise _indefinite(p_ap / p_p, tau)
         if p_ap <= tau * p_p:
-            break  # flat direction; stop moving
+            raise SolverDivergenceError(
+                f"conjugate gradient stopped on a flat direction at iteration {step}: "
+                "the information has a component the precision cannot explain "
+                f"(residual {np.linalg.norm(r):.3e})"
+            )
         alpha = rs / p_ap
         x += alpha * p
         r -= alpha * ap
@@ -320,6 +327,13 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     uniqueness), and both raise ``ValueError`` on an indefinite fused
     precision. The iterative path raises :class:`SolverDivergenceError`
     with the iteration count if it cannot reach ``rtol``.
+
+    When the information has a component along a flat direction (say
+    ``precision=diag(1, 0)`` with ``info=ones(2)``) no maximizer exists:
+    ``closed_form`` returns the pseudo-inverse mean, which ignores that
+    component, with :class:`NonUniqueSolutionWarning`, while CG meets the
+    flat direction and ``iterative`` raises :class:`SolverDivergenceError`
+    naming the iteration.
     """
     if method == "closed_form":
         summary = fuse(prior, observation)

@@ -253,6 +253,20 @@ class TestGenerators:
         b = random_geometric_graph(15, 0.4, seed=5)
         assert a == b
 
+    # 300 nodes span two row blocks
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (40, 0), (40, 5), (40, 11),
+                                         (300, 11)])
+    def test_random_geometric_matches_pairwise_loop(self, n, seed):
+        # reference: every pair i < j through the scalar np.hypot test
+        pts = np.random.default_rng(seed).uniform(size=(n, 2))
+        dist = {(i, j): np.hypot(*(pts[i] - pts[j]))
+                for i in range(n) for j in range(i + 1, n)}
+        for radius in (0.05, 0.3, 1.5):
+            expected = Graph.from_edges(n, [pair for pair, d in dist.items() if d <= radius])
+            graph = random_geometric_graph(n, radius, seed=seed)
+            assert graph == expected
+            assert all(type(v) is int for edge in graph.edges for v in edge)
+
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             grid_graph(0, 3)

@@ -360,6 +360,17 @@ class TestSolveMap:
         with pytest.raises(SolverDivergenceError, match="after 1 iterations"):
             solve_map(prior, obs, "iterative", max_iter=1)
 
+    def test_information_off_the_range_stops_cg_on_a_flat_direction(self):
+        # info has a component along the flat second coordinate: closed form
+        # drops it (pseudo-inverse mean), CG meets the flat direction
+        belief = GaussianBelief(n=2, precision=np.diag([1.0, 0.0]), info=np.ones(2))
+        zero = GaussianBelief(n=2, precision=np.zeros((2, 2)), info=np.zeros(2))
+        with pytest.warns(NonUniqueSolutionWarning):
+            closed = solve_map(belief, zero, "closed_form")
+        np.testing.assert_array_equal(closed, [1.0, 0.0])
+        with pytest.raises(SolverDivergenceError, match="flat direction at iteration 2"):
+            solve_map(belief, zero, "iterative")
+
     @pytest.mark.parametrize("info", [np.ones(3), np.zeros(3)], ids=["ones", "zeros"])
     @pytest.mark.parametrize("pinned", [False, True], ids=["vacuous", "pinned"])
     @pytest.mark.parametrize("method", ["fuse", "closed_form", "iterative"])

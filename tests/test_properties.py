@@ -77,6 +77,57 @@ def _scaled(belief, c):
                           info=c * belief.info, constraints=belief.constraints)
 
 
+def _fused(first, second):
+    """(summary, exception class) of ``fuse(first, second)``."""
+    try:
+        return fuse(first, second), None
+    except ValueError as exc:
+        return None, type(exc)
+
+
+@SETTINGS
+@given(problems())
+def test_argument_order_of_fuse_does_not_matter(problem):
+    prior, obs = problem
+    forward, forward_error = _fused(prior, obs)
+    backward, backward_error = _fused(obs, prior)
+    assert forward_error is backward_error
+    if forward is None:
+        return
+    for name in ("cov_basis", "null_basis", "zero_basis"):
+        assert getattr(backward, name).shape == getattr(forward, name).shape, name
+    scale = max(np.linalg.norm(forward.mean), 1.0)
+    assert np.linalg.norm(backward.mean - forward.mean) <= 1e-8 * scale
+    forward_var, backward_var = node_variances(forward), node_variances(backward)
+    np.testing.assert_array_equal(np.isinf(backward_var), np.isinf(forward_var))
+    finite = np.isfinite(forward_var)
+    np.testing.assert_allclose(backward_var[finite], forward_var[finite], rtol=1e-9,
+                               atol=1e-12 * np.max(forward.cov_values, initial=0.0))
+
+
+@SETTINGS
+@given(problems())
+def test_node_variances_are_nonnegative_or_infinite(problem):
+    summary, _ = _fused(*problem)
+    if summary is None:
+        return
+    variances = node_variances(summary)
+    assert np.all((variances >= 0) | (variances == np.inf))
+
+
+@SETTINGS
+@given(problems())
+def test_the_three_bases_split_the_space_orthonormally(problem):
+    summary, _ = _fused(*problem)
+    if summary is None:
+        return
+    # square with orthonormal columns: each basis orthonormal, the three
+    # mutually orthogonal, and together spanning R^n
+    stacked = np.hstack([summary.zero_basis, summary.cov_basis, summary.null_basis])
+    assert stacked.shape == (summary.n, summary.n)
+    np.testing.assert_allclose(stacked.T @ stacked, np.eye(summary.n), atol=1e-10)
+
+
 @SETTINGS
 @given(problems())
 def test_closed_form_and_iterative_map_agree(problem):

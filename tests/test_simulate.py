@@ -1,8 +1,10 @@
 """Seeded draws, observation noise, and Monte Carlo calibration."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +88,28 @@ class TestCounterStreams:
         assert [float(u).hex() for u in _rng.uniforms(_rng.stream_key(7, 0), 3, 3)] == [
             "0x1.355e43b052dc4p-1", "0x1.646972a582333p-2", "0x1.7551f69e6c4cap-3",
         ]
+
+    @pytest.mark.parametrize("n, n_s, digest", [
+        (15, 5, "960b145516dc250238214a133f9fed1466daa788c6bee4833a2d45f42abe92fd"),
+        (16, 3, "95feacab3fb14634b0fa33806d62ef5bc6e601b97b3d61037cd01b6f7693a583"),
+        (15, 0, "738fb2b930bffce4f52f575cd0d7eefc430be354cb05649f4234ecff16d04d39"),
+        (1, 1, "fe2679d53cd94de0d45fcf39bb5720dad70e87b4c10a6ff9942b84db764c224e"),
+    ])
+    def test_one_draw_holds_signal_and_noise_normals(self, n, n_s, digest):
+        # the noise pairs start where the signal pairs end, so one call
+        # gives both; digest of the signal then noise normals drawn by two
+        # calls, recorded before the kernel merged them
+        keys = _rng.stream_keys(7, 0, 300)
+        eta_at = 2 * ((n + 1) // 2)
+        buffer = np.empty((300, 2 * ((eta_at + n_s + 1) // 2)))
+        draw = _rng.normals_block(keys, 0, eta_at + n_s, out=buffer)
+        assert np.shares_memory(draw, buffer)
+        np.testing.assert_array_equal(draw, _rng.normals_block(keys, 0, eta_at + n_s))
+        xi, eta = draw[:, :n], draw[:, eta_at:]
+        np.testing.assert_array_equal(xi, _rng.normals_block(keys, 0, n))
+        np.testing.assert_array_equal(eta, _rng.normals_block(keys, (n + 1) // 2, n_s))
+        data = np.ascontiguousarray(xi).tobytes() + np.ascontiguousarray(eta).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_moment_sanity(self):
         z = _rng.normals_block(_rng.stream_keys(11, 0, 200), 0, 500).ravel()
@@ -239,6 +263,96 @@ class TestRunCalibration:
             ExperimentConfig(graph=path_graph(2), eps=0.1, sigma2=1.0, trials=0, seed=0)
         with pytest.raises(ValueError, match="eps"):
             ExperimentConfig(graph=path_graph(2), eps=0.0, sigma2=1.0, trials=5, seed=0)
+
+
+SUBSET = (2, 5, 6, 11, 14)
+
+
+def _kernel_inputs(sample):
+    # odd n; the kernel needs no real spectrum, so the inputs are arbitrary
+    rng = np.random.default_rng(2026)
+    n = 15
+    vectors = rng.standard_normal((n, n))
+    scale = rng.uniform(0.5, 2.0, n)
+    estimator = rng.standard_normal((n, len(sample))) / 4
+    return vectors, scale, estimator, np.array(sample, dtype=np.int64)
+
+
+# calibration_mse output recorded with every chunk run on one thread
+KERNEL_GOLDEN = [
+    # every node observed, 700 trials: three chunks, the last one partial
+    (101, 700, tuple(range(15)), 0.8, [
+        "0x1.f66635bcd2188p+3", "0x1.bf263ec3238e7p+5", "0x1.29bf00ef488e7p+5",
+        "0x1.d646fa7f9dbfdp+5", "0x1.bc56cedbc1539p+5", "0x1.37cab89aac79cp+5",
+        "0x1.dc542da180e4ep+5", "0x1.f0793dc5f8a12p+5", "0x1.536292afdf561p+6",
+        "0x1.37628f0cdc56cp+6", "0x1.e99af2e90c8dbp+6", "0x1.852a6153877c3p+6",
+        "0x1.75879cff0ba77p+5", "0x1.1320863d1b675p+5", "0x1.824a55b30a472p+4",
+    ]),
+    # a node subset with noise
+    (102, 700, SUBSET, 0.8, [
+        "0x1.2262cbcb16795p+4", "0x1.9b438371a4bbdp+4", "0x1.c2be076e48c26p+3",
+        "0x1.77ce40ce2475fp+6", "0x1.74f031ca26ba8p+6", "0x1.9188182ef1514p+5",
+        "0x1.def803f7edcd4p+5", "0x1.40118ed1d823fp+5", "0x1.4f56e294b8300p+5",
+        "0x1.8fe43b61ba835p+5", "0x1.1eceb225bd500p+5", "0x1.551af85de92d7p+5",
+        "0x1.c1fc100e6db6fp+4", "0x1.4bf92105a7d51p+5", "0x1.63dad1f13b0e0p+4",
+    ]),
+    # the same subset noise-free, 100 trials: one chunk and no thread
+    (103, 100, SUBSET, 0.0, [
+        "0x1.0e82c0dd5fc03p+4", "0x1.01ce47781c8cbp+5", "0x1.0d343a2202a34p+4",
+        "0x1.d4fb32d17fcd2p+6", "0x1.914743aebbda6p+6", "0x1.57a49765243e0p+5",
+        "0x1.24aa2625533bcp+6", "0x1.36fd06b64774cp+5", "0x1.2d6e49c26c744p+5",
+        "0x1.779a2f4e58108p+5", "0x1.0f338dca89d5ap+5", "0x1.f77f00b2566b6p+5",
+        "0x1.5af6181dc60a5p+4", "0x1.6f60e9e8d0081p+5", "0x1.429f864c875f8p+4",
+    ]),
+]
+
+
+class TestCalibrationKernel:
+    @pytest.mark.parametrize("seed, trials, sample, sigma, expected", KERNEL_GOLDEN,
+                             ids=["all-700", "subset-700", "subset-noise-free-100"])
+    def test_golden_values(self, seed, trials, sample, sigma, expected):
+        mse = _kernels.calibration_mse(seed, trials, *_kernel_inputs(sample), sigma)
+        assert [float(v).hex() for v in mse] == expected
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_thread_count_does_not_change_the_bits(self, monkeypatch, cores):
+        monkeypatch.setattr(_kernels, "_cores", lambda: cores)
+        seed, trials, sample, sigma, expected = KERNEL_GOLDEN[1]
+        mse = _kernels.calibration_mse(seed, trials, *_kernel_inputs(sample), sigma)
+        assert [float(v).hex() for v in mse] == expected
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        # 41 chunks on 8 threads that switch every microsecond: a sum lost
+        # or added out of order changes the bits
+        args = (104, 40 * 256 + 7, *_kernel_inputs(SUBSET), 0.8)
+        monkeypatch.setattr(_kernels, "_cores", lambda: 1)
+        expected = _kernels.calibration_mse(*args)
+        monkeypatch.setattr(_kernels, "_cores", lambda: 8)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: result.append(_kernels.calibration_mse(*args)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert result[0].tobytes() == expected.tobytes()
+
+    def test_failure_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_cores", lambda: 2)
+        draw = _rng.normals_block
+
+        def fail_on_second_chunk(keys, *args, **kwargs):
+            if int(keys[0]) == _rng.stream_key(5, 256):
+                raise MemoryError("chunk 1")
+            return draw(keys, *args, **kwargs)
+
+        monkeypatch.setattr(_rng, "normals_block", fail_on_second_chunk)
+        with pytest.raises(MemoryError, match="chunk 1"):
+            _kernels.calibration_mse(5, 700, *_kernel_inputs(SUBSET), 0.8)
 
 
 class TestBackends:
