@@ -1,16 +1,18 @@
 """Gaussian beliefs over graph signals in information (precision) form.
 
 A belief is parameterized by a finite precision part ``P``, an information
-vector ``h = P @ mean`` and a list of exact linear constraints ``c @ x = d``.
-The constraints represent directions of infinite precision, so the zero-noise
-and exact-subspace limits are stored symbolically instead of as very large
+vector ``h = P @ mean`` and exact linear constraints ``C @ x = d``, held as
+one ``(k, n)`` array ``C`` and one length-k vector ``d``. The constraints
+represent directions of infinite precision, so the zero-noise and
+exact-subspace limits are stored symbolically instead of as very large
 numbers. Fusing two beliefs adds precisions and information vectors and
-concatenates constraints; that additivity is what makes the form convenient.
+stacks the constraint rows; that additivity is what makes the form
+convenient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +42,37 @@ class GaussianBelief:
 
     ``precision`` must be symmetric positive semidefinite (symmetry is
     checked here, definiteness is the constructor's responsibility).
-    ``constraints`` is a tuple of (row, value) pairs meaning ``row @ x ==
-    value`` exactly; rows need not be independent, duplicates are reduced
-    when a posterior is formed.
+    ``constraints`` is a ``(k, n)`` array ``C`` and ``targets`` a length-k
+    vector ``d`` meaning ``C @ x == d`` exactly; both default to empty
+    (``k = 0``). Rows need not be independent, duplicates are reduced when a
+    posterior is formed.
     """
 
     n: int
     precision: np.ndarray
     info: np.ndarray
-    constraints: tuple = field(default_factory=tuple)
+    constraints: np.ndarray = None
+    targets: np.ndarray = None
 
     def __post_init__(self):
         prec = _require_symmetric(self.precision, name="precision")
         if prec.shape != (self.n, self.n):
             raise ValueError(f"precision must be {self.n}x{self.n}")
         info = _as_signal(self.info, self.n, name="information vector")
-        rows = []
-        for row, value in self.constraints:
-            rows.append((_frozen(_as_signal(row, self.n, name="constraint row")),
-                         float(value)))
+        rows = np.zeros((0, self.n)) if self.constraints is None else self.constraints
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.n or not np.all(np.isfinite(rows)):
+            raise ValueError(f"constraints must be a finite (k, {self.n}) array")
+        targets = np.zeros(0) if self.targets is None else self.targets
+        targets = _as_signal(targets, rows.shape[0], name="constraint targets")
         object.__setattr__(self, "precision", _frozen(prec))
         object.__setattr__(self, "info", _frozen(info))
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "constraints", _frozen(rows))
+        object.__setattr__(self, "targets", _frozen(targets))
 
     def combine(self, other):
         """Fuse with another belief: precisions and information add,
-        constraints are concatenated."""
+        constraint rows and targets are stacked."""
         if self.n != other.n:
             raise ValueError(
                 f"dimension mismatch: {self.n} vs {other.n}"
@@ -74,16 +81,9 @@ class GaussianBelief:
             n=self.n,
             precision=self.precision + other.precision,
             info=self.info + other.info,
-            constraints=self.constraints + other.constraints,
+            constraints=np.concatenate([self.constraints, other.constraints]),
+            targets=np.concatenate([self.targets, other.targets]),
         )
-
-    def constraint_arrays(self):
-        """Constraints as a (k, n) matrix and length-k vector (k may be 0)."""
-        if not self.constraints:
-            return np.zeros((0, self.n)), np.zeros(0)
-        rows = np.stack([c for c, _ in self.constraints])
-        vals = np.array([d for _, d in self.constraints])
-        return rows, vals
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,6 @@ class SamplingOperator:
     @classmethod
     def all_nodes(cls, n):
         return cls(n=n, nodes=tuple(range(n)))
-
-    def matrix(self):
-        """Dense (n, n_s) selection matrix."""
-        s = np.zeros((self.n, self.n_s))
-        for col, v in enumerate(self.nodes):
-            s[v, col] = 1.0
-        return s
 
 
 @dataclass(frozen=True)
@@ -193,10 +186,10 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
         prec = 0.5 * (prec + prec.T)
         return GaussianBelief(n=n, precision=prec, info=np.zeros(n))
     # the columns of u are orthonormal, so u.T has rank subspace.dim
-    complement = np.linalg.svd(u.T)[2][subspace.dim:].T
-    constraints = tuple((complement[:, j], 0.0) for j in range(complement.shape[1]))
+    complement = np.linalg.svd(u.T)[2][subspace.dim:]
     return GaussianBelief(
-        n=n, precision=np.zeros((n, n)), info=np.zeros(n), constraints=constraints
+        n=n, precision=np.zeros((n, n)), info=np.zeros(n),
+        constraints=complement, targets=np.zeros(n - subspace.dim),
     )
 
 
@@ -224,18 +217,16 @@ def partial_observation(sampling, observed_s, sigma2):
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
+    nodes = np.asarray(sampling.nodes, dtype=np.intp)
     if sigma2 == 0:
-        eye = np.eye(n)
-        constraints = tuple(
-            (eye[v], observed_s[col]) for col, v in enumerate(sampling.nodes)
-        )
+        pins = np.zeros((nodes.size, n))
+        pins[np.arange(nodes.size), nodes] = 1.0
         return GaussianBelief(
             n=n, precision=np.zeros((n, n)), info=np.zeros(n),
-            constraints=constraints,
+            constraints=pins, targets=observed_s,
         )
     prec = np.zeros((n, n))
     info = np.zeros(n)
-    for col, v in enumerate(sampling.nodes):
-        prec[v, v] = 1.0 / sigma2
-        info[v] = observed_s[col] / sigma2
+    prec[nodes, nodes] = 1.0 / sigma2
+    info[nodes] = observed_s / sigma2
     return GaussianBelief(n=n, precision=prec, info=info)

@@ -7,6 +7,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 
@@ -67,14 +68,6 @@ class Graph:
         """Build a graph from an iterable of (u, v) pairs, deduplicating."""
         canon = frozenset((min(u, v), max(u, v)) for u, v in pairs)
         return cls(n=n, edges=canon)
-
-    def adjacency(self):
-        """Dense 0/1 adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
 
 
 def load_edge_list(text, one_based=False):
@@ -174,10 +167,21 @@ def _require_symmetric(mat, tol=1e-12, name="matrix"):
 def laplacian(graph):
     """Combinatorial Laplacian ``degree - adjacency`` as a dense array.
 
-    Rows sum to zero and the matrix is positive semidefinite.
+    Rows sum to zero and the matrix is positive semidefinite. Raises
+    ``ValueError`` naming n when the n x n array alone would exceed the
+    machine's physical memory.
     """
-    a = graph.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    n = graph.n
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n * n > physical:
+        raise ValueError(f"a dense Laplacian for n={n} nodes needs {8 * n * n / 2**30:.1f} "
+                         f"GiB, more than the {physical / 2**30:.1f} GiB of physical memory")
+    i, j = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    lap = np.zeros((n, n))
+    lap[i, j] = -1.0
+    lap[j, i] = -1.0
+    np.fill_diagonal(lap, np.bincount(np.concatenate([i, j]), minlength=n))
+    return lap
 
 
 @dataclass(frozen=True)
@@ -224,11 +228,10 @@ def spectral_decomposition(mat):
     """
     mat = _require_symmetric(mat)
     values, vectors = np.linalg.eigh(mat)
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            vectors[:, k] = -col
+    # a unit column always has an entry above 1e-12, so argmax finds it
+    first = (np.abs(vectors) > 1e-12).argmax(axis=0)
+    flip = vectors[first, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] = -vectors[:, flip]
     return Spectrum(vectors=vectors, values=values)
 
 

@@ -135,10 +135,9 @@ def _restrict(prior, observation):
     fused = prior.combine(observation)
     precision = fused.precision
     tau = RANK_TOL * float(precision.diagonal().max(initial=0.0))
-    c_mat, d_vec = fused.constraint_arrays()
-    if c_mat.shape[0] == 0:
+    if fused.constraints.shape[0] == 0:
         return precision, None, np.zeros((fused.n, 0)), np.zeros(fused.n), fused.info, tau
-    zero_basis, kernel, particular = _reduce_constraints(c_mat, d_vec)
+    zero_basis, kernel, particular = _reduce_constraints(fused.constraints, fused.targets)
     info = kernel.T @ (fused.info - precision @ particular)
     return precision, kernel, zero_basis, particular, info, tau
 
@@ -409,17 +408,14 @@ def perfect_reconstruct(subspace, sampling, observed_s):
 def is_perfectly_reconstructible(subspace, sampling, tol=1e-10):
     """Whether samples pin down every subspace signal exactly.
 
-    True when the sampled-node indicator plus the projector onto the
-    subspace complement is invertible, i.e. its smallest eigenvalue
-    exceeds ``tol``: no nonzero subspace signal vanishes on the samples.
+    True when the sampled rows ``U[S, :]`` of the basis have full column
+    rank: there are at least as many samples as subspace dimensions and
+    the smallest singular value of the ``|S| x dim`` matrix exceeds
+    ``tol``. Then no nonzero subspace signal vanishes on the samples.
     """
     if subspace.n != sampling.n:
         raise ValueError("subspace and sampling operator dimensions differ")
-    n = subspace.n
-    u = subspace.basis
-    gram = np.eye(n) - u @ u.T
-    for v in sampling.nodes:
-        gram[v, v] += 1.0
-    gram = 0.5 * (gram + gram.T)
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    return smallest > tol
+    if sampling.n_s < subspace.dim:
+        return False
+    sampled_rows = subspace.basis[list(sampling.nodes), :]
+    return float(np.linalg.svd(sampled_rows, compute_uv=False)[-1]) > tol

@@ -128,7 +128,10 @@ def _estimator_matrix(prior, operator, sigma2, summary):
         return cov[:, nodes] / sigma2
     basis = summary.cov_basis
     pull = basis.T @ prior.precision[:, nodes]
-    return operator.matrix() - basis @ (summary.cov_values[:, None] * pull)
+    # S by index: 0.0 - x, not -x, gives the signed zeros of S - x
+    estimator = 0.0 - basis @ (summary.cov_values[:, None] * pull)
+    estimator[nodes, np.arange(len(nodes))] += 1.0
+    return estimator
 
 
 def run_calibration(config):

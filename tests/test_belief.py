@@ -33,7 +33,8 @@ class TestSmoothnessPrior:
         prior = smoothness_prior(lap, 0.0)
         np.testing.assert_array_equal(prior.precision, lap)
         np.testing.assert_array_equal(prior.info, np.zeros(2))
-        assert prior.constraints == ()
+        assert prior.constraints.shape == (0, 2)
+        assert prior.targets.shape == (0,)
 
     def test_small_eps_adds_ridge(self):
         lap = p2_laplacian()
@@ -82,7 +83,7 @@ class TestSubspacePrior:
         np.testing.assert_allclose(
             prior.precision, np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-14
         )
-        assert prior.constraints == ()
+        assert prior.constraints.shape == (0, 2)
 
     def test_relaxed_quadratic_forms(self):
         # precision carries eps/sigma2 on the subspace, (1+eps)/sigma2 off it
@@ -105,8 +106,8 @@ class TestSubspacePrior:
         ones = SubspaceBasis(basis=np.array([[INV_SQRT2], [INV_SQRT2]]))
         prior = subspace_prior(ones, sigma2_prior=0.0)
         np.testing.assert_array_equal(prior.precision, np.zeros((2, 2)))
-        assert len(prior.constraints) == 1
-        row, value = prior.constraints[0]
+        assert prior.constraints.shape == (1, 2)
+        row, value = prior.constraints[0], prior.targets[0]
         assert value == 0.0
         # the complement of span{(1,1)} is spanned by (1,-1)/sqrt(2), up to sign
         assert abs(abs(row @ np.array([INV_SQRT2, -INV_SQRT2])) - 1.0) <= 1e-12
@@ -114,7 +115,8 @@ class TestSubspacePrior:
     def test_full_span_exact_limit_is_vacuous(self):
         basis = SubspaceBasis(basis=np.eye(3))
         prior = subspace_prior(basis, sigma2_prior=0.0)
-        assert prior.constraints == ()
+        assert prior.constraints.shape == (0, 3)
+        assert prior.targets.shape == (0,)
         np.testing.assert_array_equal(prior.precision, np.zeros((3, 3)))
 
     def test_exact_limit_complement_matches_scipy_null_space(self):
@@ -126,7 +128,7 @@ class TestSubspacePrior:
         bases.append(SubspaceBasis(basis=np.eye(5)))
         for subspace in bases:
             prior = subspace_prior(subspace, sigma2_prior=0.0)
-            rows = np.array([row for row, _ in prior.constraints]).reshape(-1, subspace.n)
+            rows = prior.constraints
             reference = null_space(subspace.basis.T)
             assert rows.shape == reference.T.shape
             np.testing.assert_allclose(
@@ -151,10 +153,8 @@ class TestFullObservation:
     def test_noise_free_pins_every_node(self):
         xbar = np.array([2.0, -1.0])
         obs = full_observation(xbar, 0.0)
-        assert len(obs.constraints) == 2
-        for i, (row, value) in enumerate(obs.constraints):
-            np.testing.assert_array_equal(row, np.eye(2)[i])
-            assert value == xbar[i]
+        np.testing.assert_array_equal(obs.constraints, np.eye(2))
+        np.testing.assert_array_equal(obs.targets, xbar)
 
     def test_information_vector_scaling(self):
         obs = full_observation(np.array([1.0, 2.0]), 3.0)
@@ -175,10 +175,8 @@ class TestPartialObservation:
     def test_noise_free_single_constraint(self):
         op = SamplingOperator(n=2, nodes=(0,))
         obs = partial_observation(op, np.array([5.0]), 0.0)
-        assert len(obs.constraints) == 1
-        row, value = obs.constraints[0]
-        np.testing.assert_array_equal(row, [1.0, 0.0])
-        assert value == 5.0
+        np.testing.assert_array_equal(obs.constraints, [[1.0, 0.0]])
+        np.testing.assert_array_equal(obs.targets, [5.0])
 
     @pytest.mark.parametrize("sigma2", [0.5, 1.0, 3.0])
     def test_all_nodes_equals_full_observation(self, sigma2):
@@ -193,10 +191,8 @@ class TestPartialObservation:
         xbar = np.array([1.0, -2.0, 0.5])
         partial = partial_observation(SamplingOperator.all_nodes(3), xbar, 0.0)
         full = full_observation(xbar, 0.0)
-        assert len(partial.constraints) == len(full.constraints)
-        for (ra, da), (rb, db) in zip(partial.constraints, full.constraints):
-            np.testing.assert_array_equal(ra, rb)
-            assert da == db
+        np.testing.assert_array_equal(partial.constraints, full.constraints)
+        np.testing.assert_array_equal(partial.targets, full.targets)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -225,7 +221,8 @@ class TestFusionAdditivity:
         a = full_observation(np.array([1.0, 2.0]), 0.0)
         b = partial_observation(SamplingOperator(n=2, nodes=(1,)), np.array([2.0]), 0.0)
         fused = a.combine(b)
-        assert len(fused.constraints) == 3
+        np.testing.assert_array_equal(fused.constraints, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(fused.targets, [1.0, 2.0, 2.0])
 
     def test_dimension_mismatch(self):
         a = full_observation(np.zeros(2), 1.0)
@@ -235,12 +232,6 @@ class TestFusionAdditivity:
 
 
 class TestOperatorTypes:
-    def test_sampling_matrix_columns(self):
-        op = SamplingOperator(n=4, nodes=(2, 0))
-        s = op.matrix()
-        np.testing.assert_array_equal(s[:, 0], [0, 0, 1, 0])
-        np.testing.assert_array_equal(s[:, 1], [1, 0, 0, 0])
-
     def test_out_of_range_node(self):
         with pytest.raises(ValueError, match="out of range"):
             SamplingOperator(n=3, nodes=(3,))
@@ -248,6 +239,27 @@ class TestOperatorTypes:
     def test_subspace_requires_orthonormal_columns(self):
         with pytest.raises(ValueError, match="orthonormal"):
             SubspaceBasis(basis=np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("constraints, targets, match", [
+        (np.ones((1, 3)), np.zeros(1), "finite \\(k, 2\\) array"),
+        (np.ones(2), np.zeros(1), "finite \\(k, 2\\) array"),
+        (np.array([[1.0, np.nan]]), np.zeros(1), "finite \\(k, 2\\) array"),
+        (np.ones((2, 2)), np.zeros(1), "constraint targets must have shape \\(2,\\)"),
+        (np.ones((1, 2)), None, "constraint targets must have shape \\(1,\\)"),
+        (None, np.zeros(1), "constraint targets must have shape \\(0,\\)"),
+        (np.ones((1, 2)), np.array([np.inf]), "constraint targets contains non-finite"),
+    ])
+    def test_belief_rejects_malformed_constraints(self, constraints, targets, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianBelief(n=2, precision=np.zeros((2, 2)), info=np.zeros(2),
+                           constraints=constraints, targets=targets)
+
+    def test_belief_constraints_are_read_only(self):
+        obs = full_observation(np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            obs.constraints[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            obs.targets[0] = 5.0
 
     def test_belief_requires_symmetric_precision(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -113,6 +113,22 @@ class TestLaplacian:
                 assert x @ lap @ x >= -1e-10
 
 
+    @pytest.mark.parametrize("graph", [
+        grid_graph(7, 5), star_graph(6), Graph.from_edges(4, []),
+        random_graph(np.random.default_rng(8), 13),
+    ], ids=["grid", "star", "edgeless", "random"])
+    def test_bits_match_degree_minus_adjacency(self, graph):
+        adjacency = np.zeros((graph.n, graph.n))
+        for i, j in graph.edges:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+        reference = np.diag(adjacency.sum(axis=1)) - adjacency
+        assert laplacian(graph).tobytes() == reference.tobytes()
+
+    def test_size_beyond_physical_memory_is_refused_before_allocating(self):
+        with pytest.raises(ValueError, match="n=1000000 nodes"):
+            laplacian(Graph.from_edges(10**6, [(0, 1)]))
+
+
 class TestSpectralDecomposition:
     def test_single_edge_spectrum_matches_characteristic_polynomial(self):
         # trace 2, det 0 -> eigenvalues 0 and 2; kernel spanned by (1, 1)
@@ -143,6 +159,20 @@ class TestSpectralDecomposition:
                 col = spec.vectors[:, k]
                 lead = col[np.abs(col) > 1e-12][0]
                 assert lead > 0
+
+    @pytest.mark.parametrize("mat", [
+        laplacian(grid_graph(w, h)) for w, h in ((3, 3), (4, 4), (6, 6), (5, 3))
+    ] + [np.zeros((3, 3))], ids=["3x3", "4x4", "6x6", "5x3", "zero"])
+    def test_sign_fix_matches_per_column_loop(self, mat):
+        # square grids have degenerate eigenspaces, where eigh's signs are
+        # arbitrary and the fix decides the output
+        _, reference = np.linalg.eigh(mat)
+        for k in range(reference.shape[1]):
+            col = reference[:, k]
+            nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
+            if nonzero.size and col[nonzero[0]] < 0:
+                reference[:, k] = -col
+        assert spectral_decomposition(mat).vectors.tobytes() == reference.tobytes()
 
     def test_reconstructs_operator(self):
         rng = np.random.default_rng(3)

@@ -129,10 +129,11 @@ class TestFuseClosedForm:
         vacuous = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3))
         with pytest.raises(ValueError, match="indefinite.*-1.000e\\+00.*tau"):
             fuse(indefinite, vacuous)
-        pinned = full_observation(np.zeros(3), 0.0).constraints[:1]
+        pinned = full_observation(np.zeros(3), 0.0)
         with pytest.raises(ValueError, match="indefinite"):
-            fuse(indefinite, GaussianBelief(n=3, precision=np.zeros((3, 3)),
-                                            info=np.zeros(3), constraints=pinned))
+            fuse(indefinite, GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3),
+                                            constraints=pinned.constraints[:1],
+                                            targets=pinned.targets[:1]))
 
     @pytest.mark.parametrize("values, consistent", [
         ((5.0, 6.0), False), ((5e-9, 6e-9), False), ((5e-9, 5e-9), True), ((0.0, 0.0), True),
@@ -339,7 +340,7 @@ class TestSolveMap:
             minimum_norm = solve_map(prior, obs, "iterative")
         # small-ridge oracle: dense solve with eps ~ 0 approaches the
         # minimum-norm solution
-        s_mat = op.matrix()
+        s_mat = np.eye(10)[:, list(op.nodes)]
         ridge = np.linalg.solve(
             s_mat @ s_mat.T / sigma2 + lap + 1e-6 * np.eye(10), s_mat @ xbar / sigma2
         )
@@ -376,9 +377,10 @@ class TestSolveMap:
     @pytest.mark.parametrize("method", ["fuse", "closed_form", "iterative"])
     def test_indefinite_precision_raises_on_every_path(self, info, pinned, method):
         indefinite = GaussianBelief(n=3, precision=np.diag([1.0, -1.0, 2.0]), info=info)
-        constraints = full_observation(np.zeros(3), 0.0).constraints[:1] if pinned else ()
-        other = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3),
-                               constraints=constraints)
+        other = GaussianBelief(n=3, precision=np.zeros((3, 3)), info=np.zeros(3))
+        if pinned:
+            other = other.combine(partial_observation(SamplingOperator(n=3, nodes=(0,)),
+                                                      np.zeros(1), 0.0))
         with pytest.raises(ValueError, match="fused precision is indefinite"):
             if method == "fuse":
                 fuse(indefinite, other)
@@ -484,11 +486,22 @@ class TestPerfectReconstruction:
 
 class TestPerfectReconstructibility:
     def test_single_edge_one_sample(self):
-        # indicator(0) + complement projector = [[1.5, -.5], [-.5, .5]]:
-        # eigenvalues 1 +- 1/sqrt(2), both above tolerance
+        # U[S, :] is the 1x1 matrix [1/sqrt(2)]: its singular value is above tol
         spec = spectral_decomposition(laplacian(path_graph(2)))
         basis = bandlimit_basis(spec, 0.0)
         assert is_perfectly_reconstructible(basis, SamplingOperator(n=2, nodes=(0,)))
+
+    @pytest.mark.parametrize("tol, expected", [(1e-7, True), (1e-5, False)])
+    def test_tol_bounds_the_smallest_singular_value_of_the_sampled_rows(self, tol, expected):
+        # the one sampled row of the basis is (sin t), so its singular value is 1e-6
+        t = np.arcsin(1e-6)
+        basis = SubspaceBasis(basis=np.array([[np.cos(t)], [np.sin(t)]]))
+        assert is_perfectly_reconstructible(basis, SamplingOperator(n=2, nodes=(1,)),
+                                            tol=tol) is expected
+
+    def test_fewer_samples_than_dimensions_fail(self):
+        basis = SubspaceBasis(basis=np.eye(4)[:, :3])
+        assert not is_perfectly_reconstructible(basis, SamplingOperator(n=4, nodes=(0, 1)))
 
     def test_empty_sample_set_fails(self):
         spec = spectral_decomposition(laplacian(path_graph(2)))

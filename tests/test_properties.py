@@ -74,7 +74,8 @@ def _outcome(call):
 
 def _scaled(belief, c):
     return GaussianBelief(n=belief.n, precision=c * belief.precision,
-                          info=c * belief.info, constraints=belief.constraints)
+                          info=c * belief.info, constraints=belief.constraints,
+                          targets=belief.targets)
 
 
 def _fused(first, second):
