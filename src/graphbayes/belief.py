@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import _as_signal, _require_symmetric
+from .graph_core import _as_scalar, _as_signal, _require_symmetric
 
 __all__ = [
     "GaussianBelief",
@@ -145,8 +145,7 @@ def smoothness_prior(lap, eps=0.0):
     handles that case without regularization.
     """
     lap = _require_symmetric(lap, name="laplacian")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    eps = _as_scalar(eps, "eps")
     n = lap.shape[0]
     return GaussianBelief(n=n, precision=lap + eps * np.eye(n), info=np.zeros(n))
 
@@ -156,8 +155,7 @@ def bandlimit_basis(spectrum, bandlimit, tol=1e-9):
 
     Raises ``ValueError`` when no eigenvalue qualifies.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    tol = _as_scalar(tol, "tol")
     mask = spectrum.values <= bandlimit + tol
     if not np.any(mask):
         raise ValueError(
@@ -177,8 +175,7 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
     constraint pinned to zero and the finite precision part vanishes, so
     on-subspace directions carry no information at all.
     """
-    if sigma2_prior < 0 or eps < 0:
-        raise ValueError("sigma2_prior and eps must be non-negative")
+    sigma2_prior, eps = _as_scalar(sigma2_prior, "sigma2_prior"), _as_scalar(eps, "eps")
     u = subspace.basis
     n = subspace.n
     if sigma2_prior > 0:
@@ -215,8 +212,7 @@ def partial_observation(sampling, observed_s, sigma2):
     """
     n = sampling.n
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
+    sigma2 = _as_scalar(sigma2, "sigma2")
     nodes = np.asarray(sampling.nodes, dtype=np.intp)
     if sigma2 == 0:
         pins = np.zeros((nodes.size, n))

@@ -244,6 +244,15 @@ def _as_signal(x, n, name="signal"):
     return x
 
 
+def _as_scalar(value, name, positive=False):
+    """``value`` as a float that is finite and non-negative, or positive."""
+    value = float(value)
+    if not 0 <= value < np.inf or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return value
+
+
 def gft(spectrum, x):
     """Forward transform: coefficients of ``x`` in the eigenbasis."""
     x = _as_signal(x, spectrum.n)
@@ -299,8 +308,7 @@ def random_geometric_graph(n, radius, seed):
     """Nodes at seeded uniform points in the unit square, edges within radius."""
     if n < 1:
         raise ValueError("need at least one node")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _as_scalar(radius, "radius", positive=True)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(size=(n, 2))
     edges = []

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_core import _as_signal
+
 __all__ = [
     "PosteriorSummary",
     "InconsistentConstraintsError",
@@ -52,6 +54,8 @@ RANK_TOL = 1e-10
 DIRECTION_TOL = 1e-8
 
 _CONSISTENCY_TOL = 1e-8
+
+_RECONSTRUCT_TOL = 1e-10  # smallest singular value of U[S, :] at full column rank
 
 
 class InconsistentConstraintsError(ValueError):
@@ -103,6 +107,14 @@ def _freeze(arr):
     return out
 
 
+def _svd_solve(u, svals, vt, rhs):
+    """Minimum-norm least-squares solution of ``A x = rhs`` from the SVD of
+    ``A`` and its rank: singular values up to ``max(A.shape) eps s_0`` count as 0."""
+    cutoff = max(u.shape[0], vt.shape[1]) * np.finfo(np.float64).eps * svals[0]
+    rank = int(np.sum(svals > cutoff))
+    return vt[:rank].T @ ((u[:, :rank].T @ rhs) / svals[:rank]), rank
+
+
 def _reduce_constraints(c_mat, d_vec):
     """Orthonormalize constraint rows (at least one) and solve them.
 
@@ -113,9 +125,7 @@ def _reduce_constraints(c_mat, d_vec):
     constraint value.
     """
     u, svals, vt = np.linalg.svd(c_mat, full_matrices=True)
-    cutoff = max(c_mat.shape) * np.finfo(np.float64).eps * svals[0]
-    rank = int(np.sum(svals > cutoff))
-    particular = vt[:rank].T @ ((u[:, :rank].T @ d_vec) / svals[:rank])
+    particular, rank = _svd_solve(u, svals, vt, d_vec)
     violation = np.max(np.abs(c_mat @ particular - d_vec))
     if violation > _CONSISTENCY_TOL * np.max(np.abs(d_vec)):
         raise InconsistentConstraintsError(
@@ -235,11 +245,7 @@ def directional_uncertainty(summary, direction):
     subspace beyond ``DIRECTION_TOL``; returns 0 for directions fixed by
     constraints.
     """
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != (summary.n,):
-        raise ValueError(
-            f"direction must have shape ({summary.n},), got {direction.shape}"
-        )
+    direction = _as_signal(direction, summary.n, name="direction")
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ValueError("direction must be a nonzero vector")
@@ -370,52 +376,45 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     return mean
 
 
+def _sampled_svd(subspace, sampling, tol):
+    """Thin SVD of the sampled basis rows ``U[S, :]`` and whether they have
+    full column rank: ``dim`` singular values, the smallest above ``tol``."""
+    if subspace.n != sampling.n:
+        raise ValueError("subspace and sampling operator dimensions differ")
+    u, svals, vt = np.linalg.svd(subspace.basis[list(sampling.nodes), :], full_matrices=False)
+    return u, svals, vt, svals.size == subspace.dim and float(svals[-1]) > tol
+
+
 def perfect_reconstruct(subspace, sampling, observed_s):
     """Reconstruct a subspace signal from samples.
 
-    Solves for the subspace coefficients from the sampled rows of the basis.
-    When that system is square and well conditioned the reconstruction is
-    exact for any signal in the subspace; otherwise the least-squares
-    (pseudo-inverse) solution is returned and :class:`DegradedRankWarning`
-    is emitted.
+    Solves for the subspace coefficients from one SVD of the sampled rows
+    ``U[S, :]`` of the basis, taking the minimum-norm least-squares
+    solution. When :func:`is_perfectly_reconstructible` holds, that
+    solution is exact for any signal in the subspace; otherwise
+    :class:`DegradedRankWarning` is emitted.
     """
-    if subspace.n != sampling.n:
-        raise ValueError("subspace and sampling operator dimensions differ")
+    u, svals, vt, exact = _sampled_svd(subspace, sampling, _RECONSTRUCT_TOL)
     if sampling.n_s < 1:
         raise ValueError("need at least one sampled node")
-    observed_s = np.asarray(observed_s, dtype=np.float64)
-    if observed_s.shape != (sampling.n_s,):
-        raise ValueError(
-            f"observed vector must have shape ({sampling.n_s},)"
-        )
-    sampled_rows = subspace.basis[list(sampling.nodes), :]
-    svals = np.linalg.svd(sampled_rows, compute_uv=False)
-    square = sampled_rows.shape[0] == sampled_rows.shape[1]
-    well_conditioned = svals.size > 0 and svals[-1] > 1e-12 * max(svals[0], 1.0)
-    if square and well_conditioned:
-        coeffs = np.linalg.solve(sampled_rows, observed_s)
-    else:
+    observed_s = _as_signal(observed_s, sampling.n_s, name="observed vector")
+    if not exact:
         warnings.warn(
-            "sampled basis rows are not square and invertible; using the "
-            "pseudo-inverse reconstruction",
+            "sampled basis rows do not have full column rank; returning the "
+            "minimum-norm least-squares reconstruction",
             DegradedRankWarning,
             stacklevel=2,
         )
-        coeffs = np.linalg.pinv(sampled_rows) @ observed_s
-    return subspace.basis @ coeffs
+    return subspace.basis @ _svd_solve(u, svals, vt, observed_s)[0]
 
 
-def is_perfectly_reconstructible(subspace, sampling, tol=1e-10):
+def is_perfectly_reconstructible(subspace, sampling, tol=_RECONSTRUCT_TOL):
     """Whether samples pin down every subspace signal exactly.
 
     True when the sampled rows ``U[S, :]`` of the basis have full column
     rank: there are at least as many samples as subspace dimensions and
     the smallest singular value of the ``|S| x dim`` matrix exceeds
     ``tol``. Then no nonzero subspace signal vanishes on the samples.
+    :func:`perfect_reconstruct` warns exactly when this is False.
     """
-    if subspace.n != sampling.n:
-        raise ValueError("subspace and sampling operator dimensions differ")
-    if sampling.n_s < subspace.dim:
-        return False
-    sampled_rows = subspace.basis[list(sampling.nodes), :]
-    return float(np.linalg.svd(sampled_rows, compute_uv=False)[-1]) > tol
+    return _sampled_svd(subspace, sampling, tol)[3]

@@ -52,9 +52,10 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     arithmetic, as symmetric graphs produce, usually differ by rounding,
     and then rounding picks the winner, not the node id: on a 9x9 grid
     with ``eps=0``, ``logdet`` and ``sigma2=1`` all 81 first-round scores
-    agree to within 1e-12 and node 78 is picked. The posterior is recomputed
-    per candidate; at the intended desk scale that is cheap and keeps the
-    scoring honest against the same engine used everywhere else.
+    agree to within 1e-12 and node 78 is picked. Every candidate costs one
+    :func:`fuse`, budget x n calls in all: budget 6 with ``trace``,
+    ``eps=0`` and ``sigma2=1`` takes about 0.6 s on a 9x9 grid (n = 81) on
+    one BLAS thread of a 2-core machine.
     """
     n = prior.n
     if not 1 <= budget <= n:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .belief import SamplingOperator, partial_observation, smoothness_prior
-from .graph_core import Graph, laplacian, spectral_decomposition
+from .graph_core import Graph, _as_scalar, laplacian, spectral_decomposition
 from .inference import fuse, node_variances, posterior_covariance
 
 __all__ = [
@@ -53,10 +53,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive to draw prior signals")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        _as_scalar(self.eps, "eps (to draw prior signals)", positive=True)
+        _as_scalar(self.sigma2, "sigma2")
         if self.sampling is not None:
             object.__setattr__(self, "sampling", tuple(int(v) for v in self.sampling))
 
@@ -87,8 +85,7 @@ def draw_prior_signal(spectrum, eps, rng):
     The draw is ``vectors @ (xi / sqrt(values + eps))`` with ``xi`` standard
     normal, which has covariance ``(L + eps I)^-1`` exactly.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive to draw prior signals")
+    eps = _as_scalar(eps, "eps (to draw prior signals)", positive=True)
     scale = 1.0 / np.sqrt(spectrum.values + eps)
     return spectrum.vectors @ (scale * rng.normals(spectrum.n))
 
@@ -99,8 +96,7 @@ def observe(signal, sigma2, sampling, rng):
     Always consumes the same number of variates from ``rng`` regardless of
     ``sigma2`` so that stream positions stay aligned across noise levels.
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
+    sigma2 = _as_scalar(sigma2, "sigma2")
     signal = np.asarray(signal, dtype=np.float64)
     if sampling is None:
         sampled = signal

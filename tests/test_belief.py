@@ -143,6 +143,28 @@ class TestSubspacePrior:
             subspace_prior(ones, sigma2_prior=1.0, eps=-0.5)
 
 
+def _subspace_prior_of_ones(**kwargs):
+    return subspace_prior(SubspaceBasis(basis=np.full((2, 1), INV_SQRT2)), **kwargs)
+
+
+# each scalar parameter, by the name its error message gives, and a call taking it
+SCALAR_CALLS = [
+    ("eps", lambda v: smoothness_prior(p2_laplacian(), v)),
+    ("tol", lambda v: bandlimit_basis(spectral_decomposition(p2_laplacian()), 0.0, tol=v)),
+    ("sigma2_prior", lambda v: _subspace_prior_of_ones(sigma2_prior=v)),
+    ("eps", lambda v: _subspace_prior_of_ones(sigma2_prior=1.0, eps=v)),
+    ("sigma2", lambda v: partial_observation(SamplingOperator(n=2, nodes=(0,)), np.ones(1), v)),
+]
+
+
+class TestScalarParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
+    @pytest.mark.parametrize("name, call", SCALAR_CALLS)
+    def test_non_finite_or_negative_rejected(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+            call(bad)
+
+
 class TestFullObservation:
     def test_unit_noise(self):
         xbar = np.array([2.0, -1.0])

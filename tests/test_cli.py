@@ -164,6 +164,28 @@ class TestUncertainty:
         assert code == 1
         assert "nonzero" in err
 
+    @pytest.mark.parametrize("direction", ["1,nan,0,0", "1,inf,0,0"])
+    def test_non_finite_direction_exits_one(self, capsys, tmp_path, direction):
+        graph = tmp_path / "p4.edges"
+        graph.write_text("# n=4\n0 1\n1 2\n2 3\n")
+        code, out, err = run_cli(
+            capsys,
+            ["uncertainty", str(graph), "--sigma2", "1", "--direction", direction],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: direction contains non-finite")
+
+    def test_wrong_length_direction_exits_one(self, capsys, p2_files):
+        graph, _ = p2_files
+        code, out, err = run_cli(
+            capsys,
+            ["uncertainty", str(graph), "--sigma2", "1", "--direction", "1,0,0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: direction must have shape (2,), got (3,)")
+
     def test_huge_declared_node_count_exits_one(self, capsys, tmp_path):
         # A 10^6-node graph needs a 7.28 TiB dense Laplacian; the size is
         # refused against physical memory before anything is allocated.
@@ -227,6 +249,28 @@ class TestSimulate:
         )
         assert code == 1
         assert "exactly one" in err
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "{graph}", "--sigma2", "inf", "--eps", "1e-6", "--trials", "10"],
+         "sigma2"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--eps", "nan"], "eps"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--eps", "inf"], "eps"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "nan"], "sigma2"),
+        (["uncertainty", "{graph}", "--sigma2", "inf", "--direction", "node:0"], "sigma2"),
+        (["sample-select", "{graph}", "--budget", "1", "--sigma2", "1", "--eps", "nan"],
+         "eps"),
+        (["simulate", "--rgg", "10,nan", "--sigma2", "1", "--eps", "1e-6", "--trials", "10"],
+         "radius"),
+    ])
+    def test_exit_one_naming_the_parameter(self, capsys, p2_files, argv, name):
+        graph, signal = p2_files
+        argv = [a.format(graph=graph, signal=signal) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {name} must be finite and")
 
 
 class TestSampleSelect:

@@ -303,6 +303,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_geometric_graph(5, 0.0, seed=1)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.5, np.nan, np.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            random_geometric_graph(5, radius, seed=1)
+
 
 class TestSignalCsv:
     def test_roundtrip(self):

@@ -242,6 +242,17 @@ class TestDirectionalUncertainty:
         with pytest.raises(ValueError, match="nonzero"):
             directional_uncertainty(summary, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        _, summary = p2_setup()
+        with pytest.raises(ValueError, match="direction contains non-finite"):
+            directional_uncertainty(summary, np.array([1.0, bad]))
+
+    def test_wrong_length_direction_names_the_shape(self):
+        _, summary = p2_setup()
+        with pytest.raises(ValueError, match=r"direction must have shape \(2,\), got \(3,\)"):
+            directional_uncertainty(summary, np.ones(3))
+
 
 class TestSpectralUncertainty:
     def test_matches_closed_form_per_mode(self):
@@ -482,6 +493,75 @@ class TestPerfectReconstruction:
         basis = SubspaceBasis(basis=np.eye(2)[:, :1])
         with pytest.raises(ValueError, match="at least one"):
             perfect_reconstruct(basis, SamplingOperator(n=2, nodes=()), np.zeros(0))
+
+    def test_more_samples_than_dimensions_reconstruct_without_warning(self):
+        # a 4x4 grid, its one-dimensional constant band and five samples:
+        # U[S, :] has full column rank, so the truth comes back exactly
+        spec = spectral_decomposition(laplacian(grid_graph(4, 4)))
+        basis = bandlimit_basis(spec, 0.5)
+        assert basis.dim == 1
+        op = SamplingOperator(n=16, nodes=(0, 3, 5, 9, 14))
+        assert is_perfectly_reconstructible(basis, op)
+        truth = basis.basis @ np.array([2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rebuilt = perfect_reconstruct(basis, op, truth[list(op.nodes)])
+        np.testing.assert_allclose(rebuilt, truth, rtol=0, atol=1e-14)
+
+    def test_warns_exactly_when_not_reconstructible_and_matches_pinv(self):
+        # |S| below, equal to and above dim on graphs that may be disconnected,
+        # so sampled rows of full and of deficient column rank both occur
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for _ in range(300):
+            g = random_graph(rng, int(rng.integers(3, 13)))
+            u = spectral_decomposition(laplacian(g)).vectors
+            dim = int(rng.integers(1, g.n + 1))
+            basis = SubspaceBasis(basis=u[:, :dim])
+            size = int(rng.integers(1, g.n + 1))
+            nodes = tuple(int(v) for v in rng.choice(g.n, size=size, replace=False))
+            op = SamplingOperator(n=g.n, nodes=nodes)
+            observed = rng.standard_normal(size)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rebuilt = perfect_reconstruct(basis, op, observed)
+            warned = any(issubclass(w.category, DegradedRankWarning) for w in caught)
+            reconstructible = is_perfectly_reconstructible(basis, op)
+            assert warned is not reconstructible
+            # the pseudo-inverse under the solver's rank rule: numpy's default
+            # rcond=1e-15 keeps singular values that are rounding noise at these
+            # shapes and then returns coefficients near 1e15 (seen once in 9000)
+            sampled = basis.basis[list(nodes), :]
+            rcond = max(sampled.shape) * np.finfo(np.float64).eps
+            oracle = basis.basis @ np.linalg.pinv(sampled, rcond=rcond) @ observed
+            assert np.linalg.norm(rebuilt - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
+            seen.add((int(np.sign(size - dim)), reconstructible))
+        assert seen == {(-1, False), (0, False), (0, True), (1, False), (1, True)}
+
+    def test_singular_value_at_rounding_level_counts_as_zero(self):
+        # U[S, :] is diag(1, 3e-15) over 30 rows: its second singular value
+        # lies under the cut max(shape) eps s_0 = 6.7e-15, so the second
+        # coefficient is 0, not the 1e-15 / 3e-15 a 1e-15 cut would give
+        delta = 3e-15
+        u = np.zeros((32, 2))
+        u[0, 0], u[1, 1], u[31, 1] = 1.0, delta, np.sqrt(1.0 - delta**2)
+        observed = np.zeros(30)
+        observed[:2] = 2.0, 1e-15
+        with pytest.warns(DegradedRankWarning):
+            rebuilt = perfect_reconstruct(SubspaceBasis(basis=u),
+                                          SamplingOperator(n=32, nodes=range(30)), observed)
+        np.testing.assert_allclose(rebuilt, 2.0 * np.eye(32)[0], rtol=0, atol=1e-15)
+
+    def test_non_finite_observation_rejected(self):
+        basis = SubspaceBasis(basis=np.eye(3)[:, :2])
+        op = SamplingOperator(n=3, nodes=(0, 1))
+        with pytest.raises(ValueError, match="observed vector contains non-finite"):
+            perfect_reconstruct(basis, op, np.array([1.0, np.nan]))
+
+    def test_wrong_length_observation_names_the_shape(self):
+        basis = SubspaceBasis(basis=np.eye(3)[:, :2])
+        with pytest.raises(ValueError, match=r"observed vector must have shape \(2,\)"):
+            perfect_reconstruct(basis, SamplingOperator(n=3, nodes=(0, 1)), np.ones(3))
 
 
 class TestPerfectReconstructibility:

@@ -10,6 +10,11 @@ oracle written without :func:`fuse`.
 * Exact flat subspace: under the eps=0 smoothness prior the flat
   directions are the indicators of the connected components that hold no
   observed node, with no eigenvalue tolerance in the oracle.
+* Exact limits at a rate: as the noise variance of pinned nodes, or the
+  variance of a relaxed subspace prior, falls from 1e-2 to 1e-8, the mean
+  approaches the exact (constrained) one by O(variance), and the variance
+  along the constrained directions stays between closed-form bounds that
+  are both proportional to it.
 """
 
 import numpy as np
@@ -18,9 +23,11 @@ import pytest
 from graphbayes import (
     SamplingOperator,
     SubspaceBasis,
+    directional_uncertainty,
     fuse,
     grid_graph,
     laplacian,
+    node_variances,
     partial_observation,
     posterior_covariance,
     smoothness_prior,
@@ -139,3 +146,73 @@ def test_flat_subspace_is_spanned_by_unobserved_components(seed, sigma2):
     assert summary.null_basis.shape == expected.shape
     np.testing.assert_allclose(_projector(summary.null_basis), _projector(expected),
                                rtol=0, atol=1e-10)
+
+
+LADDER = 10.0 ** -np.arange(2, 9)  # 1e-2 down to 1e-8
+
+
+def _rounding(summary, exact):
+    """Forward-error allowance of a dense solve: 100 eps times the condition
+    number of the finite block times the size of the mean. The stiff
+    precision of a small variance has condition number about 1/variance, so
+    near 1e-8 this term, not the O(variance) one, sets the distance; the
+    exact forms carry no such term."""
+    kappa = summary.cov_values.max() / summary.cov_values.min()
+    return 100 * np.finfo(np.float64).eps * kappa * (1.0 + np.linalg.norm(exact))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("seed", range(6))
+def test_noisy_pins_approach_exact_pins_at_rate_sigma2(seed, eps):
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(6, 16))
+    lap = laplacian(random_connected_graph(rng, n))
+    prior = smoothness_prior(lap, eps)
+    pinned = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    op = SamplingOperator(n=n, nodes=tuple(pinned.tolist()))
+    values = rng.standard_normal(pinned.size)
+    exact = fuse(prior, partial_observation(op, values, 0.0)).mean
+    diagonal = lap.diagonal()[pinned] + eps
+
+    rate = None
+    for sigma2 in LADDER:
+        summary = fuse(prior, partial_observation(op, values, sigma2))
+        moved = np.linalg.norm(summary.mean - exact)
+        rate = moved / sigma2 if rate is None else rate
+        assert moved <= 2 * rate * sigma2 + _rounding(summary, exact)
+        # a pinned node's marginal variance lies between 1 / P_vv, the
+        # inverse of its fused precision, and its noise variance sigma2
+        variances = node_variances(summary)[pinned]
+        assert np.all(variances <= sigma2 * (1 + 1e-6))
+        assert np.all(variances >= sigma2 / (1 + diagonal * sigma2) * (1 - 1e-6))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relaxed_subspace_prior_approaches_the_exact_one_at_rate_s(seed):
+    rng = np.random.default_rng(400 + seed)
+    while True:
+        n = int(rng.integers(6, 16))
+        u = spectral_decomposition(laplacian(random_connected_graph(rng, n))).vectors
+        dim = int(rng.integers(1, 4))
+        nodes = np.sort(rng.choice(n, size=int(rng.integers(dim, n + 1)), replace=False))
+        if np.linalg.svd(u[nodes, :dim], compute_uv=False)[-1] > 1e-6:
+            break  # the samples identify the subspace: a proper exact posterior
+    basis = SubspaceBasis(basis=u[:, :dim])
+    complement = np.linalg.svd(basis.basis.T)[2][dim:]
+    sigma2 = 0.5
+    obs = partial_observation(SamplingOperator(n=n, nodes=tuple(nodes.tolist())),
+                              rng.standard_normal(nodes.size), sigma2)
+    exact = fuse(subspace_prior(basis, 0.0), obs).mean
+
+    rate = None
+    for s in LADDER:
+        summary = fuse(subspace_prior(basis, s), obs)
+        moved = np.linalg.norm(summary.mean - exact)
+        rate = moved / s if rate is None else rate
+        assert moved <= 2 * rate * s + _rounding(summary, exact)
+        # along a unit direction w off the subspace the variance lies between
+        # 1 / (w' P w) and s, as for the pins above
+        sampled_mass = np.sum(complement[:, nodes] ** 2, axis=1)
+        variances = np.array([directional_uncertainty(summary, w) for w in complement])
+        assert np.all(variances <= s * (1 + 1e-6))
+        assert np.all(variances >= s / (1 + s * sampled_mass / sigma2) * (1 - 1e-6))

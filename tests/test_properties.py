@@ -129,6 +129,38 @@ def test_the_three_bases_split_the_space_orthonormally(problem):
     np.testing.assert_allclose(stacked.T @ stacked, np.eye(summary.n), atol=1e-10)
 
 
+def _relabelled(belief, perm):
+    """The belief on node ids renamed so that new node i is old node perm[i]."""
+    return GaussianBelief(n=belief.n, precision=belief.precision[np.ix_(perm, perm)],
+                          info=belief.info[perm], constraints=belief.constraints[:, perm],
+                          targets=belief.targets)
+
+
+def _class_counts(summary):
+    return tuple(getattr(summary, name).shape[1]
+                 for name in ("zero_basis", "cov_basis", "null_basis"))
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_relabelling_nodes_permutes_mean_and_variances(problem, seed):
+    prior, obs = problem
+    perm = np.random.default_rng(seed).permutation(prior.n)
+    base, base_error = _fused(prior, obs)
+    moved, moved_error = _fused(_relabelled(prior, perm), _relabelled(obs, perm))
+    assert moved_error is base_error
+    if base is None:
+        return
+    assert _class_counts(moved) == _class_counts(base)
+    scale = max(np.linalg.norm(base.mean), 1.0)
+    assert np.linalg.norm(moved.mean - base.mean[perm]) <= 1e-8 * scale
+    base_var, moved_var = node_variances(base)[perm], node_variances(moved)
+    np.testing.assert_array_equal(np.isinf(moved_var), np.isinf(base_var))
+    finite = np.isfinite(base_var)
+    np.testing.assert_allclose(moved_var[finite], base_var[finite], rtol=1e-9,
+                               atol=1e-12 * np.max(base.cov_values, initial=0.0))
+
+
 @SETTINGS
 @given(problems())
 def test_closed_form_and_iterative_map_agree(problem):

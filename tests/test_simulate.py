@@ -258,6 +258,22 @@ class TestRunCalibration:
             estimator = _estimator_matrix(prior, op, 0.0, summary)
             np.testing.assert_allclose(estimator, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("eps", np.nan, "positive"), ("eps", np.inf, "positive"), ("eps", -1.0, "positive"),
+        ("sigma2", np.inf, "non-negative"), ("sigma2", np.nan, "non-negative"),
+    ])
+    def test_config_rejects_non_finite_parameters(self, field, value, rule):
+        fields = dict(graph=path_graph(2), eps=0.1, sigma2=1.0, trials=5, seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field}.* must be finite and {rule}"):
+            ExperimentConfig(**fields)
+
+    def test_draws_reject_non_finite_parameters(self, p2_spectrum):
+        with pytest.raises(ValueError, match="eps.* must be finite and positive"):
+            draw_prior_signal(p2_spectrum, np.inf, CounterRng(3))
+        with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
+            observe(np.zeros(2), np.nan, None, CounterRng(1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(graph=path_graph(2), eps=0.1, sigma2=1.0, trials=0, seed=0)
