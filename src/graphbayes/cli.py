@@ -15,6 +15,7 @@ pure function of the inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -53,6 +54,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1,1,0,0", "-1e-9" and "-inf" for options; a "-"
+        # before a digit, ".digit", "inf" or "nan" starts a value here
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on usage errors by default; this CLI
     # reserves 2 for inconsistent constraints, so remap to CliError.
     def error(self, message):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .belief import SamplingOperator, partial_observation
-from .inference import fuse
+from .inference import DIRECTION_TOL, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select", "exhaustive_select"]
 
@@ -37,10 +37,75 @@ def covariance_metric(summary, metric):
     return float(np.log(values).sum())
 
 
-def _score(prior, nodes, sigma2, metric):
+# Candidates whose closed-form score lies within this relative distance of
+# the lowest one are scored exactly by fuse; when a confirmed score misses
+# its estimate by more, the round scores every candidate exactly.
+_SCREEN_RTOL = 1e-8
+
+
+def _posterior(prior, nodes, sigma2):
     op = SamplingOperator(n=prior.n, nodes=tuple(nodes))
-    obs = partial_observation(op, np.zeros(op.n_s), sigma2)
-    return covariance_metric(fuse(prior, obs), metric)
+    return fuse(prior, partial_observation(op, np.zeros(op.n_s), sigma2))
+
+
+def _score(prior, nodes, sigma2, metric):
+    return covariance_metric(_posterior(prior, nodes, sigma2), metric)
+
+
+def _screen(base, sigma2, metric):
+    """Closed-form ``trace`` or ``logdet`` score of adding each node to the
+    sampling set behind ``base``; ``None`` for ``logdet`` once a direction
+    has zero variance, where it is ``-inf`` whatever the node.
+
+    With Σ the finite covariance and one flat direction ``z``, a sample at
+    node v fixes ``z`` and leaves Σ as it is: the trace grows by
+    (σ² + Σ_vv)/z_v² and the logdet falls by log(z_v²/σ²). With no flat
+    direction it is the rank-one downdate of Σ by Σe_v. One sample cannot
+    remove two flat directions, so then every score is ``inf``.
+    """
+    if metric == "logdet" and base.zero_basis.shape[1] > 0:
+        return None
+    values, basis, flat = base.cov_values, base.cov_basis, base.null_basis
+    if flat.shape[1] > 1:
+        return np.full(base.n, math.inf)
+    cov = basis @ (values[:, None] * basis.T)
+    diag = cov.diagonal()
+    if flat.shape[1] == 1:
+        z = flat[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if metric == "trace":
+                scores = values.sum() + (sigma2 + diag) / z**2
+            else:
+                scores = np.log(values).sum() - np.log(z**2 / sigma2)
+        scores[np.abs(z) <= DIRECTION_TOL] = math.inf
+        return scores
+    if metric == "logdet":
+        return np.log(values).sum() - np.log1p(diag / sigma2)
+    denom = sigma2 + diag
+    drop = np.divide((cov**2).sum(axis=0), denom, out=np.zeros(base.n), where=denom > 0)
+    return values.sum() - drop
+
+
+def _next_node(prior, selected, remaining, sigma2, metric):
+    """The node of ``remaining`` with the lowest exact score, the lowest id
+    among bit-identical scores: screened from one posterior, confirmed by
+    :func:`fuse` on the near-ties."""
+
+    def exact(v):
+        return _score(prior, selected + [v], sigma2, metric)
+
+    estimates = None
+    if metric == "trace" or (metric == "logdet" and sigma2 > 0):
+        estimates = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
+    if estimates is not None:
+        best = float(estimates[remaining].min())
+        if best < math.inf:
+            margin = _SCREEN_RTOL * abs(best)
+            near = [v for v in remaining if estimates[v] <= best + margin]
+            scores = [exact(v) for v in near]
+            if all(abs(s - estimates[v]) <= margin for v, s in zip(near, scores)):
+                return near[scores.index(min(scores))]
+    return min(remaining, key=exact)
 
 
 def greedy_select(prior, budget, sigma2, metric="trace"):
@@ -52,10 +117,24 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     arithmetic, as symmetric graphs produce, usually differ by rounding,
     and then rounding picks the winner, not the node id: on a 9x9 grid
     with ``eps=0``, ``logdet`` and ``sigma2=1`` all 81 first-round scores
-    agree to within 1e-12 and node 78 is picked. Every candidate costs one
-    :func:`fuse`, budget x n calls in all: budget 6 with ``trace``,
-    ``eps=0`` and ``sigma2=1`` takes about 0.6 s on a 9x9 grid (n = 81) on
-    one BLAS thread of a 2-core machine.
+    agree to within 1e-12 and node 78 is picked.
+
+    Each round screens, then confirms. One :func:`fuse` of the nodes
+    selected so far gives every candidate's score in closed form
+    (``trace``, and ``logdet`` while no direction has zero variance).
+    The candidates within a relative 1e-8 of the lowest estimate are then
+    scored exactly, one :func:`fuse` each, and the lowest exact score wins
+    as above. If a confirmed score misses its estimate by more than that
+    margin, or every estimate is ``inf``, the round scores every candidate
+    exactly; ``max_eig`` always does. Exact scores decide every winner,
+    so the set is the one that scoring every candidate exactly gives,
+    unless an unconfirmed candidate's exact score lies below its estimate
+    by more than the margin; no case checked so far does that. On a 9x9
+    grid with ``eps=0`` and budget 3, on one BLAS thread of a 2-core
+    machine, ``trace`` with ``sigma2=0`` takes 13 :func:`fuse` calls and
+    about 0.03 s, where scoring every candidate takes 240 calls and 0.3 s;
+    ``logdet`` with ``sigma2=1`` takes 86 calls and 0.1 s, since its 81
+    first-round scores tie in exact arithmetic and are all confirmed.
     """
     n = prior.n
     if not 1 <= budget <= n:
@@ -63,7 +142,7 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     selected = []
     remaining = list(range(n))
     for _ in range(budget):
-        best_node = min(remaining, key=lambda v: _score(prior, selected + [v], sigma2, metric))
+        best_node = _next_node(prior, selected, remaining, sigma2, metric)
         selected.append(best_node)
         remaining.remove(best_node)
     return SamplingOperator(n=n, nodes=tuple(sorted(selected)))

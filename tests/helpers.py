@@ -35,3 +35,17 @@ def two_component_graph():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2),
              (5, 6), (6, 7), (7, 8), (8, 9), (5, 7)]
     return Graph.from_edges(10, edges)
+
+
+def reference_greedy(prior, budget, sigma2, metric="trace"):
+    """Greedy selection that scores every candidate with one ``fuse``, the
+    rule ``greedy_select`` must reproduce set for set."""
+    from graphbayes.sampling_eval import _score
+
+    selected = []
+    remaining = list(range(prior.n))
+    for _ in range(budget):
+        best_node = min(remaining, key=lambda v: _score(prior, selected + [v], sigma2, metric))
+        selected.append(best_node)
+        remaining.remove(best_node)
+    return tuple(sorted(selected))

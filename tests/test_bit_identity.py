@@ -2,8 +2,10 @@
 
 The digests were recorded from the implementation that stored constraints
 as (row, value) pairs and built selection and adjacency matrices densely;
-any refactor of those data structures must reproduce them exactly. Each
-digest is the SHA-256 of an array's shape followed by its bytes. The cases
+any refactor of those data structures must reproduce them exactly. The
+8x8 greedy sets and the ``sample-select`` digest were recorded from the
+greedy selection that scored every candidate with its own ``fuse``. Each
+array digest is the SHA-256 of an array's shape followed by its bytes. The cases
 are small enough that the BLAS runs them on one thread whatever its thread
 setting, so the bits do not depend on it.
 """
@@ -171,3 +173,23 @@ def test_estimate_stdout_is_unchanged(capsys, tmp_path, flags, expected):
     signal.write_text("node,value\n" + "".join(f"{v},{0.25 * v - 3.0}\n" for v in range(36)))
     assert main(["estimate", str(graph), str(signal), *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("sigma2, expected", [
+    (0.5, (18, 36, 49, 54)),
+    (1.0, (9, 27, 45, 49)),
+    (1.5, (21, 35, 49, 54)),
+    (2.0, (18, 36, 49, 54)),
+])
+def test_greedy_sets_on_an_8x8_grid(sigma2, expected):
+    prior = smoothness_prior(laplacian(grid_graph(8, 8)), 0.0)
+    assert greedy_select(prior, 4, sigma2, "trace").nodes == expected
+
+
+def test_sample_select_stdout_is_unchanged(capsys, tmp_path):
+    graph = tmp_path / "grid.edges"
+    graph.write_text("# n=64\n" + "".join(f"{i} {j}\n" for i, j in
+                                         sorted(grid_graph(8, 8).edges)))
+    assert main(["sample-select", str(graph), "--budget", "4", "--sigma2", "0.5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3344274a3311808db33407bbfbeae9f89e3a8284b4285dc3bf7e0541e346abfa")

@@ -273,6 +273,40 @@ class TestNonFiniteFlags:
         assert err.startswith(f"error: {name} must be finite and")
 
 
+class TestNegativeValues:
+    """A value after a flag may start with a minus sign."""
+
+    @pytest.fixture
+    def p4_graph(self, tmp_path):
+        graph = tmp_path / "p4.edges"
+        graph.write_text("# n=4\n0 1\n1 2\n2 3\n")
+        return str(graph)
+
+    @pytest.mark.parametrize("direction", ["-1,1,0,0", "-.5,1,0,0"])
+    def test_direction_with_negative_first_entry(self, capsys, p4_graph, direction):
+        base = ["uncertainty", p4_graph, "--sigma2", "1"]
+        code, out, _ = run_cli(capsys, [*base, "--direction", direction])
+        assert code == 0
+        assert run_cli(capsys, [*base, f"--direction={direction}"]) == (0, out, "")
+
+    @pytest.mark.parametrize("eps", ["-1e-9", "-inf", "-nan"])
+    def test_negative_eps_reaches_the_library_check(self, capsys, p4_graph, eps):
+        code, out, err = run_cli(
+            capsys,
+            ["uncertainty", p4_graph, "--sigma2", "1", "--eps", eps, "--direction", "node:0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: eps must be finite and non-negative")
+
+    def test_a_flag_still_cannot_stand_in_for_a_value(self, capsys, p4_graph):
+        code, _, err = run_cli(
+            capsys, ["uncertainty", p4_graph, "--sigma2", "1", "--direction", "--eps"],
+        )
+        assert code == 1
+        assert "--direction: expected one argument" in err
+
+
 class TestSampleSelect:
     def test_full_budget_lists_all_nodes(self, capsys, p2_files):
         graph, _ = p2_files

@@ -14,6 +14,7 @@ from graphbayes import (
     full_observation,
     fuse,
     greedy_select,
+    grid_graph,
     laplacian,
     partial_observation,
     path_graph,
@@ -22,8 +23,14 @@ from graphbayes import (
     star_graph,
     subspace_prior,
 )
+from graphbayes import sampling_eval
 
-from helpers import random_graph
+from helpers import (
+    random_connected_graph,
+    random_graph,
+    reference_greedy,
+    two_component_graph,
+)
 
 
 def posterior_for(graph, nodes, sigma2, eps=0.0):
@@ -126,6 +133,70 @@ class TestGreedySelect:
         selection = greedy_select(prior, 4, 0.0, "trace")
         summary = posterior_for(g, selection.nodes, 0.0, eps=1e-3)
         assert covariance_metric(summary, "trace") == 0.0
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset) for i, j in g.edges]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+class TestScreenedGreedy:
+    """greedy_select screens candidates from one posterior per round and
+    must return the sets of the per-candidate reference."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1.0])
+    def test_matches_reference_on_random_graphs(self, eps, sigma2):
+        rng = np.random.default_rng([int(eps * 1e6), int(sigma2 * 1e6), 8])
+        graphs = [
+            random_graph(rng, int(rng.integers(4, 11))),
+            random_connected_graph(rng, int(rng.integers(4, 11))),
+            # two or three components, none of them observed at the start
+            disjoint_union(*(random_connected_graph(rng, int(rng.integers(1, 5)))
+                             for _ in range(int(rng.integers(2, 4))))),
+        ]
+        for g in graphs:
+            prior = smoothness_prior(laplacian(g), eps)
+            for metric in ("trace", "logdet", "max_eig"):
+                for budget in (1, int(rng.integers(2, g.n + 1)), g.n):
+                    expected = reference_greedy(prior, budget, sigma2, metric)
+                    assert greedy_select(prior, budget, sigma2, metric).nodes == expected
+
+    @pytest.mark.parametrize("metric", ["trace", "logdet"])
+    def test_trust_check_when_the_cut_reclassifies_a_direction(self, metric):
+        # With 1/sigma2 = 1e6 in the fused precision, the cut tau = 1e-4
+        # calls the unobserved blob's eps = 1e-6 directions flat: every
+        # exact first-round score is inf, while the closed form, which
+        # knows no cut, prefers another node. The lowest id must win.
+        g = two_component_graph()
+        prior = smoothness_prior(laplacian(g), 1e-6)
+        base = sampling_eval._posterior(prior, [], 1e-6)
+        assert np.argmin(sampling_eval._screen(base, 1e-6, metric)) != 0
+        assert all(sampling_eval._score(prior, [v], 1e-6, metric) == math.inf
+                   for v in range(g.n))
+        selection = greedy_select(prior, 3, 1e-6, metric)
+        assert selection.nodes[0] == 0
+        assert selection.nodes == reference_greedy(prior, 3, 1e-6, metric)
+
+    @pytest.mark.parametrize("sigma2, metric, limit", [
+        (0.0, "trace", 20),
+        (1.0, "logdet", 90),
+    ])
+    def test_fuse_calls_on_a_9x9_grid(self, monkeypatch, sigma2, metric, limit):
+        calls = []
+
+        def counting_fuse(prior, observation):
+            calls.append(observation)
+            return fuse(prior, observation)
+
+        monkeypatch.setattr(sampling_eval, "fuse", counting_fuse)
+        prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
+        greedy_select(prior, 3, sigma2, metric)
+        # scoring every candidate takes 81 + 80 + 79 = 240 calls
+        assert len(calls) <= limit
 
 
 class TestExhaustiveSelect:
