@@ -9,15 +9,19 @@ Usage, from the root of a checkout::
 For every workload and seed, ``perfbench/run.py`` runs once in each
 ``--checkout`` (default: this repository), reading the sources under that
 checkout's ``src/``. With two checkouts the order alternates from seed to
-seed, so each side runs first in half of the pairs. Every run, failed or
-not, appends one entry to ``BENCH_perfbench.json`` at the root of this
-repository: its final JSON line (``correct``, ``attempted``, ``failed``,
-``metrics``) with the workload, seed, run length, trace flag, the commit id
-of the checkout, whether its ``src/`` or ``perfbench/`` differ from that
-commit, and the environment from the run's detail record.
+seed, so each side runs first in half of the pairs. Each run lasts the
+``run_seconds`` of ``BENCHMARK.json``. Every run, failed or not, appends
+one entry to ``BENCH_perfbench.json`` at the root of this repository: its
+final JSON line (``correct``, ``attempted``, ``failed``, ``metrics``) with
+the workload, seed, run length, trace flag, the commit id of the checkout,
+whether its ``src/`` or ``perfbench/`` differ from that commit, and the
+environment from the run's detail record. A run that prints no result is
+recorded with ``result`` and ``environment`` null and the tail of its
+stderr, and the series goes on.
 
 A summary follows: for each workload and checkout, the median and
-quartiles of every metric, and with two checkouts the number of seeds on
+quartiles of every metric over the runs with a result, and with two
+checkouts the number of seeds, among those where both have a result, on
 which the second has the lower value.
 """
 
@@ -32,6 +36,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_perfbench.json")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
+    RUN_SECONDS = json.load(_handle)["run_seconds"]
 
 
 def _git(checkout, *args):
@@ -39,27 +45,25 @@ def _git(checkout, *args):
                           text=True, check=True).stdout.strip()
 
 
-def _run(checkout, workload, seed, seconds, trace):
+def _run(checkout, workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
-    lines = proc.stdout.strip().splitlines()
-    try:
-        detail = json.loads(lines[-2])["detail"]
-        result = json.loads(lines[-1])
-    except (IndexError, KeyError, ValueError):
-        raise SystemExit(f"{checkout}: perfbench/run.py --workload {workload} "
-                         f"--seed {seed} exited {proc.returncode} without a result:\n"
-                         f"{proc.stderr}") from None
-    return {
+    entry = {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-        "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
-        "exit_code": proc.returncode, "result": result,
-        "environment": detail["environment"],
+        "workload": workload, "seed": seed, "seconds": RUN_SECONDS, "trace": trace,
+        "exit_code": proc.returncode, "result": None, "environment": None,
     }
+    lines = proc.stdout.strip().splitlines()
+    try:
+        environment = json.loads(lines[-2])["detail"]["environment"]
+        result = json.loads(lines[-1])
+    except (IndexError, KeyError, TypeError, ValueError):
+        return dict(entry, stderr=proc.stderr[-2000:])
+    return dict(entry, result=result, environment=environment)
 
 
 def _append(entries):
@@ -77,19 +81,23 @@ def _append(entries):
 def _summary(entries, checkouts):
     for workload in dict.fromkeys(e["workload"] for e in entries):
         runs = {c: {e["seed"]: e["result"]["metrics"] for e in entries
-                    if e["workload"] == workload and e["checkout"] == c}
+                    if e["workload"] == workload and e["checkout"] == c and e["result"]}
                 for c in checkouts}
-        for name in next(iter(runs[checkouts[0]].values())):
+        names = dict.fromkeys(name for r in runs.values() for m in r.values() for name in m)
+        for name in names:
             for c in checkouts:
-                values = [m[name]["value"] for m in runs[c].values()]
+                values = [m[name]["value"] for m in runs[c].values() if name in m]
+                if not values:
+                    continue
                 q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
                 print(f"{workload:10s} {name:36s} {c}: median {statistics.median(values):.6g} "
                       f"quartiles {q[0]:.6g} {q[2]:.6g} ({len(values)} runs)")
             if len(checkouts) == 2:
                 first, second = (runs[c] for c in checkouts)
-                wins = sum(second[s][name]["value"] < first[s][name]["value"] for s in first)
+                seeds = [s for s in first if name in first[s] and name in second.get(s, {})]
+                wins = sum(second[s][name]["value"] < first[s][name]["value"] for s in seeds)
                 print(f"{workload:10s} {name:36s} lower in the second checkout on "
-                      f"{wins} of {len(first)} seeds")
+                      f"{wins} of {len(seeds)} seeds")
 
 
 def main():
@@ -99,7 +107,6 @@ def main():
     parser.add_argument("--workload", action="append", required=True,
                         choices=("denoise", "calibrate", "design", "cli"))
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     checkouts = [os.path.abspath(c) for c in args.checkout or [ROOT]]
@@ -110,12 +117,13 @@ def main():
     for workload in args.workload:
         for k, seed in enumerate(args.seeds):
             for checkout in checkouts[::-1] if k % 2 else checkouts:
-                entry = _run(checkout, workload, seed, args.seconds, args.trace)
+                entry = _run(checkout, workload, seed, args.trace)
                 _append([entry])
                 entries.append(dict(entry, checkout=checkout))
+                shown = (json.dumps(entry["result"]) if entry["result"]
+                         else f"no result, exit {entry['exit_code']}")
                 print(f"{workload} seed {seed} {entry['commit'][:7]}"
-                      f"{'+' if entry['dirty'] else ''}: {json.dumps(entry['result'])}",
-                      flush=True)
+                      f"{'+' if entry['dirty'] else ''}: {shown}", flush=True)
     _summary(entries, checkouts)
     return 0
 

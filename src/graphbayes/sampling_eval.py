@@ -38,8 +38,9 @@ def covariance_metric(summary, metric):
 
 
 # Candidates whose closed-form score lies within this relative distance of
-# the lowest one are scored exactly by fuse; when a confirmed score misses
-# its estimate by more, the round scores every candidate exactly.
+# the lowest one, or of the base score when that is larger, are scored
+# exactly by fuse; when a confirmed score misses its estimate by more, the
+# round scores every candidate exactly.
 _SCREEN_RTOL = 1e-8
 
 
@@ -54,8 +55,9 @@ def _score(prior, nodes, sigma2, metric):
 
 def _screen(base, sigma2, metric):
     """Closed-form ``trace`` or ``logdet`` score of adding each node to the
-    sampling set behind ``base``; ``None`` for ``logdet`` once a direction
-    has zero variance, where it is ``-inf`` whatever the node.
+    sampling set behind ``base``, with the size of the base score that
+    bounds their rounding; ``None`` for ``logdet`` once a direction has
+    zero variance, where it is ``-inf`` whatever the node.
 
     With Σ the finite covariance and one flat direction ``z``, a sample at
     node v fixes ``z`` and leaves Σ as it is: the trace grows by
@@ -66,24 +68,30 @@ def _screen(base, sigma2, metric):
     if metric == "logdet" and base.zero_basis.shape[1] > 0:
         return None
     values, basis, flat = base.cov_values, base.cov_basis, base.null_basis
+    if metric == "trace":
+        total = values.sum()
+        size = total
+    else:
+        logs = np.log(values)
+        total, size = logs.sum(), np.abs(logs).sum()
     if flat.shape[1] > 1:
-        return np.full(base.n, math.inf)
+        return np.full(base.n, math.inf), size
     cov = basis @ (values[:, None] * basis.T)
     diag = cov.diagonal()
     if flat.shape[1] == 1:
         z = flat[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             if metric == "trace":
-                scores = values.sum() + (sigma2 + diag) / z**2
+                scores = total + (sigma2 + diag) / z**2
             else:
-                scores = np.log(values).sum() - np.log(z**2 / sigma2)
+                scores = total - np.log(z**2 / sigma2)
         scores[np.abs(z) <= DIRECTION_TOL] = math.inf
-        return scores
+        return scores, size
     if metric == "logdet":
-        return np.log(values).sum() - np.log1p(diag / sigma2)
+        return total - np.log1p(diag / sigma2), size
     denom = sigma2 + diag
     drop = np.divide((cov**2).sum(axis=0), denom, out=np.zeros(base.n), where=denom > 0)
-    return values.sum() - drop
+    return total - drop, size
 
 
 def _next_node(prior, selected, remaining, sigma2, metric):
@@ -94,13 +102,16 @@ def _next_node(prior, selected, remaining, sigma2, metric):
     def exact(v):
         return _score(prior, selected + [v], sigma2, metric)
 
-    estimates = None
+    screened = None
     if metric == "trace" or (metric == "logdet" and sigma2 > 0):
-        estimates = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
-    if estimates is not None:
+        screened = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
+    if screened is not None:
+        estimates, size = screened
         best = float(estimates[remaining].min())
         if best < math.inf:
-            margin = _SCREEN_RTOL * abs(best)
+            # rounding in the estimates scales with the base score, so the
+            # margin does not vanish when the lowest estimate is 0
+            margin = _SCREEN_RTOL * max(abs(best), size)
             near = [v for v in remaining if estimates[v] <= best + margin]
             scores = [exact(v) for v in near]
             if all(abs(s - estimates[v]) <= margin for v, s in zip(near, scores)):
@@ -122,19 +133,15 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     Each round screens, then confirms. One :func:`fuse` of the nodes
     selected so far gives every candidate's score in closed form
     (``trace``, and ``logdet`` while no direction has zero variance).
-    The candidates within a relative 1e-8 of the lowest estimate are then
-    scored exactly, one :func:`fuse` each, and the lowest exact score wins
-    as above. If a confirmed score misses its estimate by more than that
-    margin, or every estimate is ``inf``, the round scores every candidate
-    exactly; ``max_eig`` always does. Exact scores decide every winner,
-    so the set is the one that scoring every candidate exactly gives,
-    unless an unconfirmed candidate's exact score lies below its estimate
-    by more than the margin; no case checked so far does that. On a 9x9
-    grid with ``eps=0`` and budget 3, on one BLAS thread of a 2-core
-    machine, ``trace`` with ``sigma2=0`` takes 13 :func:`fuse` calls and
-    about 0.03 s, where scoring every candidate takes 240 calls and 0.3 s;
-    ``logdet`` with ``sigma2=1`` takes 86 calls and 0.1 s, since its 81
-    first-round scores tie in exact arithmetic and are all confirmed.
+    The candidates within a relative 1e-8 of the lowest estimate, or of
+    the base score when that is larger, are then scored exactly, one
+    :func:`fuse` each, and the lowest exact score wins as above. If a
+    confirmed score misses its estimate by more than that margin, or
+    every estimate is ``inf``, the round scores every candidate exactly;
+    ``max_eig`` always does. Exact scores decide every winner, so the set
+    is the one that scoring every candidate exactly gives, unless an
+    unconfirmed candidate's exact score lies below its estimate by more
+    than the margin; no case checked so far does that.
     """
     n = prior.n
     if not 1 <= budget <= n:

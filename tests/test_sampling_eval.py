@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphbayes import (
+    GaussianBelief,
     Graph,
     SamplingOperator,
     bandlimit_basis,
@@ -21,6 +22,7 @@ from graphbayes import (
     smoothness_prior,
     spectral_decomposition,
     star_graph,
+    SubspaceBasis,
     subspace_prior,
 )
 from graphbayes import sampling_eval
@@ -31,6 +33,13 @@ from helpers import (
     reference_greedy,
     two_component_graph,
 )
+
+
+def with_constraints(prior, rows):
+    """``prior`` with the exact constraints ``rows @ x == 0`` added."""
+    n = prior.n
+    return prior.combine(GaussianBelief(n=n, precision=np.zeros((n, n)), info=np.zeros(n),
+                                        constraints=rows, targets=np.zeros(len(rows))))
 
 
 def posterior_for(graph, nodes, sigma2, eps=0.0):
@@ -165,6 +174,47 @@ class TestScreenedGreedy:
                     expected = reference_greedy(prior, budget, sigma2, metric)
                     assert greedy_select(prior, budget, sigma2, metric).nodes == expected
 
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1.0])
+    def test_matches_reference_on_constrained_priors(self, sigma2):
+        rng = np.random.default_rng([int(sigma2 * 1e6), 88])
+        priors = []
+        for eps in (0.0, 1e-6, 1.0):
+            g = random_graph(rng, int(rng.integers(4, 9)))
+            smooth = smoothness_prior(laplacian(g), eps)
+            pins = SamplingOperator(n=g.n, nodes=tuple(sorted(
+                int(v) for v in rng.choice(g.n, 2, replace=False))))
+            priors.append(smooth.combine(partial_observation(pins, np.zeros(2), 0.0)))
+            priors.append(with_constraints(smooth, rng.standard_normal((g.n - 2, g.n))))
+        for n in (5, 8):
+            basis = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+            priors.append(subspace_prior(SubspaceBasis(basis), sigma2_prior=0.0))
+            spec = spectral_decomposition(laplacian(random_connected_graph(rng, n)))
+            priors.append(subspace_prior(bandlimit_basis(spec, spec.values[2]), sigma2_prior=0.0))
+        for prior in priors:
+            for metric in ("trace", "logdet", "max_eig"):
+                for budget in (1, int(rng.integers(2, prior.n + 1)), prior.n):
+                    expected = reference_greedy(prior, budget, sigma2, metric)
+                    assert greedy_select(prior, budget, sigma2, metric).nodes == expected
+
+    def test_margin_when_the_lowest_estimate_is_zero(self):
+        # Two constraints on a 4-node path leave two directions; after one
+        # noise-free sample, any further sample fixes the last one, so every
+        # exact trace is 0.0. The closed form often leaves a lower id one
+        # ulp above 0.0, and the margin must still reach it.
+        zero_best_rounds = 0
+        for seed in range(20):
+            rows = np.random.default_rng(seed).standard_normal((2, 4))
+            prior = with_constraints(smoothness_prior(laplacian(path_graph(4)), 0.0), rows)
+            first = reference_greedy(prior, 1, 0.0)
+            rest = [v for v in range(4) if v not in first]
+            estimates, _ = sampling_eval._screen(
+                sampling_eval._posterior(prior, first, 0.0), 0.0, "trace")
+            assert all(sampling_eval._score(prior, first + (v,), 0.0, "trace") == 0.0
+                       for v in rest)
+            zero_best_rounds += estimates[rest].min() == 0.0 < estimates[rest[0]]
+            assert greedy_select(prior, 2, 0.0).nodes == reference_greedy(prior, 2, 0.0)
+        assert zero_best_rounds > 0
+
     @pytest.mark.parametrize("metric", ["trace", "logdet"])
     def test_trust_check_when_the_cut_reclassifies_a_direction(self, metric):
         # With 1/sigma2 = 1e6 in the fused precision, the cut tau = 1e-4
@@ -174,7 +224,7 @@ class TestScreenedGreedy:
         g = two_component_graph()
         prior = smoothness_prior(laplacian(g), 1e-6)
         base = sampling_eval._posterior(prior, [], 1e-6)
-        assert np.argmin(sampling_eval._screen(base, 1e-6, metric)) != 0
+        assert np.argmin(sampling_eval._screen(base, 1e-6, metric)[0]) != 0
         assert all(sampling_eval._score(prior, [v], 1e-6, metric) == math.inf
                    for v in range(g.n))
         selection = greedy_select(prior, 3, 1e-6, metric)
