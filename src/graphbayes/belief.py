@@ -2,12 +2,14 @@
 
 A belief is parameterized by a finite precision part ``P``, an information
 vector ``h = P @ mean`` and exact linear constraints ``C @ x = d``, held as
-one ``(k, n)`` array ``C`` and one length-k vector ``d``. The constraints
-represent directions of infinite precision, so the zero-noise and
-exact-subspace limits are stored symbolically instead of as very large
-numbers. Fusing two beliefs adds precisions and information vectors and
-stacks the constraint rows; that additivity is what makes the form
-convenient.
+one ``(k, n)`` array ``C`` and one length-k vector ``d``. ``P`` is either an
+n x n array or, when it is diagonal, the length-n vector of its diagonal;
+observations and the exact subspace prior keep that form, so a belief
+holds at most one n x n array. The constraints represent directions of
+infinite precision, so the zero-noise and exact-subspace limits are stored
+symbolically instead of as very large numbers. Fusing two beliefs adds
+precisions and information vectors and stacks the constraint rows; that
+additivity is what makes the form convenient.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import _as_scalar, _as_signal, _require_symmetric
+from .graph_core import (
+    _as_scalar,
+    _as_signal,
+    _orthonormality_defect,
+    _require_square,
+    _require_symmetric,
+)
 
 __all__ = [
     "GaussianBelief",
@@ -30,18 +38,50 @@ __all__ = [
 ]
 
 
+def _sealed(arr):
+    """``arr``, a new array that nothing else refers to, made read-only so
+    that :func:`_frozen` keeps it instead of copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen(arr):
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    """``arr`` as a read-only float64 array. One that already is read-only
+    and owns its memory is kept, so nothing else can change it; any other
+    is copied."""
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 \
+            and not arr.flags.writeable and arr.base is None:
+        return arr
+    return _sealed(np.array(arr, dtype=np.float64))
+
+
+def _add_diagonal(dense, diag):
+    """``dense + np.diag(diag)`` bit for bit, as a read-only array, with one
+    n x n allocation: ``dense + 0.0`` off the diagonal (which turns -0.0
+    into +0.0 as adding a zero does) and ``dense_ii + diag_i`` on it."""
+    out = dense + 0.0
+    np.fill_diagonal(out, dense.diagonal() + diag)
+    return _sealed(out)
+
+
+def _add_precisions(a, b):
+    """Sum of two precisions, each an n x n array or a diagonal vector."""
+    if a.ndim == 1 and b.ndim == 2:
+        a, b = b, a
+    if a.ndim == 2 and b.ndim == 1:
+        return _add_diagonal(a, b)
+    return _sealed(a + b)
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
     """Possibly degenerate Gaussian over R^n in information form.
 
-    ``precision`` must be symmetric positive semidefinite (symmetry is
-    checked here, definiteness is the constructor's responsibility).
+    ``precision`` is an n x n array that must be symmetric positive
+    semidefinite (symmetry is checked here, definiteness is the
+    constructor's responsibility), or a length-n vector standing for the
+    diagonal matrix with that diagonal, which must be finite and
+    non-negative.
     ``constraints`` is a ``(k, n)`` array ``C`` and ``targets`` a length-k
     vector ``d`` meaning ``C @ x == d`` exactly; both default to empty
     (``k = 0``). Rows need not be independent, duplicates are reduced when a
@@ -55,9 +95,15 @@ class GaussianBelief:
     targets: np.ndarray = None
 
     def __post_init__(self):
-        prec = _require_symmetric(self.precision, name="precision")
-        if prec.shape != (self.n, self.n):
-            raise ValueError(f"precision must be {self.n}x{self.n}")
+        prec = np.asarray(self.precision, dtype=np.float64)
+        if prec.ndim == 1:
+            prec = _as_signal(prec, self.n, name="diagonal precision")
+            if np.any(prec < 0):
+                raise ValueError("diagonal precision has negative entries")
+        else:
+            prec = _require_symmetric(prec, name="precision")
+            if prec.shape != (self.n, self.n):
+                raise ValueError(f"precision must be {self.n}x{self.n}")
         info = _as_signal(self.info, self.n, name="information vector")
         rows = np.zeros((0, self.n)) if self.constraints is None else self.constraints
         rows = np.asarray(rows, dtype=np.float64)
@@ -72,16 +118,18 @@ class GaussianBelief:
 
     def combine(self, other):
         """Fuse with another belief: precisions and information add,
-        constraint rows and targets are stacked."""
+        constraint rows and targets are stacked. Two diagonal precisions
+        add as vectors; a dense one plus a diagonal one gives the dense sum,
+        bit for bit as if the diagonal were dense."""
         if self.n != other.n:
             raise ValueError(
                 f"dimension mismatch: {self.n} vs {other.n}"
             )
         return GaussianBelief(
             n=self.n,
-            precision=self.precision + other.precision,
+            precision=_add_precisions(self.precision, other.precision),
             info=self.info + other.info,
-            constraints=np.concatenate([self.constraints, other.constraints]),
+            constraints=_sealed(np.concatenate([self.constraints, other.constraints])),
             targets=np.concatenate([self.targets, other.targets]),
         )
 
@@ -121,8 +169,7 @@ class SubspaceBasis:
         b = np.asarray(self.basis, dtype=np.float64)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ValueError("basis must be a 2-d array with at least one column")
-        gram = b.T @ b
-        defect = np.max(np.abs(gram - np.eye(b.shape[1])))
+        defect = _orthonormality_defect(b)
         if defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
         object.__setattr__(self, "basis", _frozen(b))
@@ -142,12 +189,16 @@ def smoothness_prior(lap, eps=0.0):
 
     With ``eps = 0`` the prior is improper (flat along the Laplacian kernel,
     e.g. constant signals on a connected graph); the posterior machinery
-    handles that case without regularization.
+    handles that case without regularization. Its precision is then ``lap``
+    itself when ``lap`` is read-only and owns its memory, as the output of
+    :func:`~graphbayes.graph_core.laplacian` does, and a copy otherwise.
     """
-    lap = _require_symmetric(lap, name="laplacian")
+    # the belief checks symmetry; the shape check here fixes n
+    lap = _require_square(lap, name="laplacian")
     eps = _as_scalar(eps, "eps")
     n = lap.shape[0]
-    return GaussianBelief(n=n, precision=lap + eps * np.eye(n), info=np.zeros(n))
+    precision = lap if eps == 0 else _add_diagonal(lap, np.full(n, eps))
+    return GaussianBelief(n=n, precision=precision, info=np.zeros(n))
 
 
 def bandlimit_basis(spectrum, bandlimit, tol=1e-9):
@@ -173,7 +224,8 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
     along its orthogonal complement. With ``sigma2_prior = 0`` the limit is
     taken exactly: every direction orthogonal to the subspace becomes a hard
     constraint pinned to zero and the finite precision part vanishes, so
-    on-subspace directions carry no information at all.
+    on-subspace directions carry no information at all; it is held as a
+    zero diagonal vector.
     """
     sigma2_prior, eps = _as_scalar(sigma2_prior, "sigma2_prior"), _as_scalar(eps, "eps")
     u = subspace.basis
@@ -185,7 +237,7 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
     # the columns of u are orthonormal, so u.T has rank subspace.dim
     complement = np.linalg.svd(u.T)[2][subspace.dim:]
     return GaussianBelief(
-        n=n, precision=np.zeros((n, n)), info=np.zeros(n),
+        n=n, precision=np.zeros(n), info=np.zeros(n),
         constraints=complement, targets=np.zeros(n - subspace.dim),
     )
 
@@ -205,10 +257,10 @@ def full_observation(observed, sigma2):
 def partial_observation(sampling, observed_s, sigma2):
     """Likelihood of noisy observations on a node subset.
 
-    The precision is lifted to signal space: ``sigma2 > 0`` gives a diagonal
-    precision carrying ``1/sigma2`` on sampled nodes and zero elsewhere (an
+    The precision is lifted to signal space as a diagonal vector:
+    ``sigma2 > 0`` puts ``1/sigma2`` on sampled nodes and zero elsewhere (an
     unsampled node contributes no information). ``sigma2 = 0`` pins each
-    sampled node exactly.
+    sampled node exactly and leaves the precision zero.
     """
     n = sampling.n
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
@@ -218,11 +270,11 @@ def partial_observation(sampling, observed_s, sigma2):
         pins = np.zeros((nodes.size, n))
         pins[np.arange(nodes.size), nodes] = 1.0
         return GaussianBelief(
-            n=n, precision=np.zeros((n, n)), info=np.zeros(n),
-            constraints=pins, targets=observed_s,
+            n=n, precision=np.zeros(n), info=np.zeros(n),
+            constraints=_sealed(pins), targets=observed_s,
         )
-    prec = np.zeros((n, n))
+    prec = np.zeros(n)
     info = np.zeros(n)
-    prec[nodes, nodes] = 1.0 / sigma2
+    prec[nodes] = 1.0 / sigma2
     info[nodes] = observed_s / sigma2
     return GaussianBelief(n=n, precision=prec, info=info)

@@ -155,21 +155,62 @@ def read_signal_csv(text):
     return values
 
 
-def _require_symmetric(mat, tol=1e-12, name="matrix"):
+# Side of the square blocks that symmetry and orthonormality checks work
+# in, so that no check allocates an n x n temporary.
+_TILE = 128
+
+
+def _mirrored_tiles(mat):
+    """Pairs ``(tile, mirror)``: the ``_TILE`` x ``_TILE`` blocks of the upper
+    triangle of a square array and the transposes of their mirror blocks.
+
+    ``mat`` equals ``mat.T`` exactly when every tile equals its mirror; both
+    are views, so comparing them pair by pair needs no n x n temporary.
+    """
+    n = mat.shape[0]
+    for lo in range(0, n, _TILE):
+        for col in range(lo, n, _TILE):
+            yield mat[lo:lo + _TILE, col:col + _TILE], mat[col:col + _TILE, lo:lo + _TILE].T
+
+
+def _require_square(mat, name="matrix"):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if mat.size and np.max(np.abs(mat - mat.T)) > tol:
+    return mat
+
+
+def _require_symmetric(mat, tol=1e-12, name="matrix"):
+    mat = _require_square(mat, name)
+    # max |mat - mat.T| tile by tile; np.maximum keeps a NaN, as np.max does
+    worst = 0.0
+    for tile, mirror in _mirrored_tiles(mat):
+        worst = np.maximum(worst, np.max(np.abs(tile - mirror)))
+    if worst > tol:
         raise ValueError(f"{name} is not symmetric to within {tol}")
     return mat
+
+
+def _orthonormality_defect(basis):
+    """``max |B'B - I|`` for the columns of ``basis``, from ``_TILE`` rows of
+    the upper triangle of the Gram matrix at a time."""
+    dim = basis.shape[1]
+    worst = 0.0
+    for lo in range(0, dim, _TILE):
+        gram = basis[:, lo:lo + _TILE].T @ basis[:, lo:]
+        rows = np.arange(gram.shape[0])
+        gram[rows, rows] -= 1.0
+        worst = np.maximum(worst, np.max(np.abs(gram, out=gram)))
+    return float(worst)
 
 
 def laplacian(graph):
     """Combinatorial Laplacian ``degree - adjacency`` as a dense array.
 
-    Rows sum to zero and the matrix is positive semidefinite. Raises
-    ``ValueError`` naming n when the n x n array alone would exceed the
-    machine's physical memory.
+    Rows sum to zero and the matrix is positive semidefinite. The array is
+    read-only, so a prior built on it shares it instead of copying it.
+    Raises ``ValueError`` naming n when the n x n array alone would exceed
+    the machine's physical memory.
     """
     n = graph.n
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -181,6 +222,7 @@ def laplacian(graph):
     lap[i, j] = -1.0
     lap[j, i] = -1.0
     np.fill_diagonal(lap, np.bincount(np.concatenate([i, j]), minlength=n))
+    lap.setflags(write=False)
     return lap
 
 
@@ -202,8 +244,7 @@ class Spectrum:
             raise ValueError("eigenvector matrix must be square")
         if val.shape != (vec.shape[0],):
             raise ValueError("eigenvalue vector length must match basis size")
-        gram = vec.T @ vec
-        defect = np.max(np.abs(gram - np.eye(vec.shape[0])))
+        defect = _orthonormality_defect(vec)
         if defect > 1e-10:
             raise ValueError(f"basis not orthonormal (defect {defect:.2e})")
         if np.any(np.diff(val) < -1e-12):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import _as_signal
+from .graph_core import _as_signal, _mirrored_tiles
 
 __all__ = [
     "PosteriorSummary",
@@ -137,19 +137,28 @@ def _reduce_constraints(c_mat, d_vec):
 def _restrict(prior, observation):
     """Fuse two beliefs and restrict them to the constraint set.
 
-    Returns the fused precision, the constraint kernel basis (``None``
-    without constraints: the whole space), the constrained directions, the
-    minimum-norm feasible point, the fused information on the kernel
-    shifted by that point, and the eigenvalue cut ``tau``.
+    Returns the fused precision as an n x n array, the constraint kernel
+    basis (``None`` without constraints: the whole space), the constrained
+    directions, the minimum-norm feasible point, the fused information on
+    the kernel shifted by that point, and the eigenvalue cut ``tau``.
     """
     fused = prior.combine(observation)
     precision = fused.precision
+    if precision.ndim == 1:  # both parts diagonal
+        precision = np.diag(precision)
     tau = RANK_TOL * float(precision.diagonal().max(initial=0.0))
     if fused.constraints.shape[0] == 0:
         return precision, None, np.zeros((fused.n, 0)), np.zeros(fused.n), fused.info, tau
     zero_basis, kernel, particular = _reduce_constraints(fused.constraints, fused.targets)
     info = kernel.T @ (fused.info - precision @ particular)
     return precision, kernel, zero_basis, particular, info, tau
+
+
+def _exactly_symmetric(mat):
+    """Whether ``mat`` equals its transpose bit for bit, signed zeros
+    included, compared tile by tile."""
+    bits = mat.view(np.int64)
+    return all(np.array_equal(tile, mirror) for tile, mirror in _mirrored_tiles(bits))
 
 
 def _indefinite(curvature, tau):
@@ -173,15 +182,19 @@ def fuse(prior, observation):
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
-    directly, with no projection through an identity kernel.
+    directly, with no projection through an identity kernel. A ``P`` that
+    equals its transpose bit for bit goes to ``eigh`` as it is, since
+    ``(P + P') / 2`` would reproduce it exactly.
     """
     precision, kernel, zero_basis, particular, g, tau = _restrict(prior, observation)
-    if kernel is None:
-        projected = precision + precision.T
+    if kernel is None and _exactly_symmetric(precision):
+        projected = precision
     else:
-        projected = kernel.T @ precision @ kernel
-        projected = projected + projected.T
-    projected *= 0.5
+        if kernel is not None:
+            precision = kernel.T @ precision @ kernel
+        projected = precision + precision.T
+        projected *= 0.5
+    del precision  # not needed past here: free it before eigh
     evals, evecs = np.linalg.eigh(projected)
     if evals.size and evals[0] < -tau:
         raise _indefinite(float(evals[0]), tau)

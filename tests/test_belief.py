@@ -105,7 +105,7 @@ class TestSubspacePrior:
     def test_exact_limit_constrains_complement(self):
         ones = SubspaceBasis(basis=np.array([[INV_SQRT2], [INV_SQRT2]]))
         prior = subspace_prior(ones, sigma2_prior=0.0)
-        np.testing.assert_array_equal(prior.precision, np.zeros((2, 2)))
+        np.testing.assert_array_equal(prior.precision, np.zeros(2))
         assert prior.constraints.shape == (1, 2)
         row, value = prior.constraints[0], prior.targets[0]
         assert value == 0.0
@@ -117,7 +117,7 @@ class TestSubspacePrior:
         prior = subspace_prior(basis, sigma2_prior=0.0)
         assert prior.constraints.shape == (0, 3)
         assert prior.targets.shape == (0,)
-        np.testing.assert_array_equal(prior.precision, np.zeros((3, 3)))
+        np.testing.assert_array_equal(prior.precision, np.zeros(3))
 
     def test_exact_limit_complement_matches_scipy_null_space(self):
         null_space = pytest.importorskip("scipy.linalg").null_space
@@ -169,7 +169,7 @@ class TestFullObservation:
     def test_unit_noise(self):
         xbar = np.array([2.0, -1.0])
         obs = full_observation(xbar, 1.0)
-        np.testing.assert_array_equal(obs.precision, np.eye(2))
+        np.testing.assert_array_equal(obs.precision, np.ones(2))
         np.testing.assert_array_equal(obs.info, xbar)
 
     def test_noise_free_pins_every_node(self):
@@ -191,7 +191,7 @@ class TestPartialObservation:
     def test_single_node_lift(self):
         op = SamplingOperator(n=2, nodes=(0,))
         obs = partial_observation(op, np.array([5.0]), 1.0)
-        np.testing.assert_array_equal(obs.precision, np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(obs.precision, [1.0, 0.0])
         np.testing.assert_array_equal(obs.info, [5.0, 0.0])
 
     def test_noise_free_single_constraint(self):
@@ -286,3 +286,47 @@ class TestOperatorTypes:
     def test_belief_requires_symmetric_precision(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianBelief(n=2, precision=np.array([[1.0, 0.5], [0.0, 1.0]]), info=np.zeros(2))
+
+
+class TestDiagonalPrecision:
+    def test_dense_plus_diagonal_matches_the_dense_sum_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        raw = rng.standard_normal((6, 6))
+        dense = raw + raw.T
+        dense[0, 1] = dense[1, 0] = -0.0
+        dense[2, 2] = dense[4, 4] = -0.0
+        dense[3, 3] = 0.0
+        # -0.0 meets -0.0, +0.0 and a nonzero on the diagonal, and +0.0 meets -0.0
+        diag = np.array([-0.0, 1.5, -0.0, -0.0, 0.0, 2.0])
+        a = GaussianBelief(n=6, precision=dense, info=np.zeros(6))
+        b = GaussianBelief(n=6, precision=diag, info=np.zeros(6))
+        expected = (dense + np.diag(diag)).tobytes()
+        assert a.combine(b).precision.tobytes() == expected
+        assert b.combine(a).precision.tobytes() == expected
+
+    def test_two_diagonals_add_as_a_vector(self):
+        a = GaussianBelief(n=3, precision=np.array([1.0, 0.0, 2.0]), info=np.zeros(3))
+        b = partial_observation(SamplingOperator(n=3, nodes=(1, 2)), np.ones(2), 0.5)
+        np.testing.assert_array_equal(a.combine(b).precision, [1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_diagonal_rejected(self, bad):
+        with pytest.raises(ValueError, match="diagonal precision"):
+            GaussianBelief(n=3, precision=np.array([1.0, bad, 0.0]), info=np.zeros(3))
+
+    def test_diagonal_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"diagonal precision must have shape \(2,\)"):
+            GaussianBelief(n=2, precision=np.ones(3), info=np.zeros(2))
+
+    def test_zero_eps_prior_shares_the_laplacian(self):
+        lap = laplacian(grid_graph(4, 3))
+        prior = smoothness_prior(lap, 0.0)
+        assert prior.precision is lap
+        # a writable Laplacian could change under the prior: it is copied
+        writable = np.array(lap)
+        assert not np.shares_memory(smoothness_prior(writable, 0.0).precision, writable)
+
+    def test_ridge_prior_matches_adding_a_scaled_identity_bit_for_bit(self):
+        lap = laplacian(grid_graph(4, 3))
+        prior = smoothness_prior(lap, 0.3)
+        assert prior.precision.tobytes() == (lap + 0.3 * np.eye(12)).tobytes()

@@ -131,7 +131,9 @@ def test_the_three_bases_split_the_space_orthonormally(problem):
 
 def _relabelled(belief, perm):
     """The belief on node ids renamed so that new node i is old node perm[i]."""
-    return GaussianBelief(n=belief.n, precision=belief.precision[np.ix_(perm, perm)],
+    precision = belief.precision
+    precision = precision[perm] if precision.ndim == 1 else precision[np.ix_(perm, perm)]
+    return GaussianBelief(n=belief.n, precision=precision,
                           info=belief.info[perm], constraints=belief.constraints[:, perm],
                           targets=belief.targets)
 
