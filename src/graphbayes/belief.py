@@ -66,11 +66,10 @@ def _add_diagonal(dense, diag):
 
 def _add_precisions(a, b):
     """Sum of two precisions, each an n x n array or a diagonal vector."""
-    if a.ndim == 1 and b.ndim == 2:
-        a, b = b, a
-    if a.ndim == 2 and b.ndim == 1:
-        return _add_diagonal(a, b)
-    return _sealed(a + b)
+    if a.ndim == b.ndim:
+        return _sealed(a + b)
+    dense, diag = (a, b) if a.ndim == 2 else (b, a)
+    return _add_diagonal(dense, diag)
 
 
 @dataclass(frozen=True)
