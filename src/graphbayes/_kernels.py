@@ -27,12 +27,6 @@ def active_backend():
 # floating-point summation order run to run.
 _CHUNK = 256
 
-# Fewest nodes at which a second thread pays. Below it a chunk is too little
-# work to cover the GIL hand-offs: on 2 cores with one BLAS thread, 100k
-# trials on 4 sampled nodes took 176 ms on one thread and 252 ms on two at
-# n = 16, 272 and 295 ms at n = 32, and 360 and 344 ms at n = 48.
-_MIN_THREADED_N = 48
-
 
 def _cores():
     """Cores this process may run on."""
@@ -50,10 +44,9 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     ``sigma``, applies the linear ``estimator`` and accumulates squared
     per-node errors.
 
-    From ``_MIN_THREADED_N`` nodes, chunks of trials run on up to one thread
-    per core (numpy releases the GIL in its loops and BLAS calls); their
-    sums are added in chunk order, so the result does not depend on the
-    number of threads.
+    Chunks of trials run on up to one thread per core (numpy releases the
+    GIL in its loops and BLAS calls); their sums are added in chunk order,
+    so the result does not depend on the number of threads.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     scale = np.ascontiguousarray(scale, dtype=np.float64)
@@ -66,7 +59,7 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     count = eta_at + sample.shape[0]
     observe_all = np.array_equal(sample, np.arange(n))
     n_chunks = -(-trials // _CHUNK)
-    workers = max(1, min(_cores() if n >= _MIN_THREADED_N else 1, n_chunks))
+    workers = max(1, min(_cores(), n_chunks))
     rows = min(_CHUNK, trials)
     # Each worker reuses one draw and one signal buffer. They are allocated
     # here, on the calling thread, so that their memory goes back to its

@@ -21,9 +21,10 @@ import numpy as np
 from .graph_core import (
     _as_scalar,
     _as_signal,
-    _orthonormality_defect,
+    _is_sealed,
     _require_square,
     _require_symmetric,
+    _sealed,
 )
 
 __all__ = [
@@ -38,19 +39,10 @@ __all__ = [
 ]
 
 
-def _sealed(arr):
-    """``arr``, a new array that nothing else refers to, made read-only so
-    that :func:`_frozen` keeps it instead of copying it."""
-    arr.setflags(write=False)
-    return arr
-
-
 def _frozen(arr):
-    """``arr`` as a read-only float64 array. One that already is read-only
-    and owns its memory is kept, so nothing else can change it; any other
-    is copied."""
-    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 \
-            and not arr.flags.writeable and arr.base is None:
+    """``arr`` as a read-only float64 array: one the library sealed itself is
+    kept, since nothing else can change it; any other is copied."""
+    if isinstance(arr, np.ndarray) and _is_sealed(arr):
         return arr
     return _sealed(np.array(arr, dtype=np.float64))
 
@@ -168,7 +160,8 @@ class SubspaceBasis:
         b = np.asarray(self.basis, dtype=np.float64)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ValueError("basis must be a 2-d array with at least one column")
-        defect = _orthonormality_defect(b)
+        gram = b.T @ b
+        defect = np.max(np.abs(gram - np.eye(b.shape[1])))
         if defect > 1e-10:
             raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
         object.__setattr__(self, "basis", _frozen(b))
@@ -189,8 +182,8 @@ def smoothness_prior(lap, eps=0.0):
     With ``eps = 0`` the prior is improper (flat along the Laplacian kernel,
     e.g. constant signals on a connected graph); the posterior machinery
     handles that case without regularization. Its precision is then ``lap``
-    itself when ``lap`` is read-only and owns its memory, as the output of
-    :func:`~graphbayes.graph_core.laplacian` does, and a copy otherwise.
+    itself when ``lap`` is the output of
+    :func:`~graphbayes.graph_core.laplacian`, and a copy otherwise.
     """
     # the belief checks symmetry; the shape check here fixes n
     lap = _require_square(lap, name="laplacian")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,22 +156,22 @@ def read_signal_csv(text):
     return values
 
 
-# Side of the square blocks that symmetry and orthonormality checks work
-# in, so that no check allocates an n x n temporary.
-_TILE = 128
+# Read-only arrays that the library made itself and handed out no writable
+# view of, by id: only these are kept by a belief instead of copied.
+_SEALED = weakref.WeakValueDictionary()
 
 
-def _mirrored_tiles(mat):
-    """Pairs ``(tile, mirror)``: the ``_TILE`` x ``_TILE`` blocks of the upper
-    triangle of a square array and the transposes of their mirror blocks.
+def _sealed(arr):
+    """``arr``, a new array that nothing else refers to, made read-only and
+    recorded so that a belief keeps it instead of copying it."""
+    arr.setflags(write=False)
+    _SEALED[id(arr)] = arr
+    return arr
 
-    ``mat`` equals ``mat.T`` exactly when every tile equals its mirror; both
-    are views, so comparing them pair by pair needs no n x n temporary.
-    """
-    n = mat.shape[0]
-    for lo in range(0, n, _TILE):
-        for col in range(lo, n, _TILE):
-            yield mat[lo:lo + _TILE, col:col + _TILE], mat[col:col + _TILE, lo:lo + _TILE].T
+
+def _is_sealed(arr):
+    """Whether ``arr`` was passed to :func:`_sealed` and is still read-only."""
+    return _SEALED.get(id(arr)) is arr and not arr.flags.writeable
 
 
 def _require_square(mat, name="matrix"):
@@ -182,35 +183,18 @@ def _require_square(mat, name="matrix"):
 
 def _require_symmetric(mat, tol=1e-12, name="matrix"):
     mat = _require_square(mat, name)
-    # max |mat - mat.T| tile by tile; np.maximum keeps a NaN, as np.max does
-    worst = 0.0
-    for tile, mirror in _mirrored_tiles(mat):
-        worst = np.maximum(worst, np.max(np.abs(tile - mirror)))
-    if worst > tol:
+    if mat.size and np.max(np.abs(mat - mat.T)) > tol:
         raise ValueError(f"{name} is not symmetric to within {tol}")
     return mat
-
-
-def _orthonormality_defect(basis):
-    """``max |B'B - I|`` for the columns of ``basis``, from ``_TILE`` rows of
-    the upper triangle of the Gram matrix at a time."""
-    dim = basis.shape[1]
-    worst = 0.0
-    for lo in range(0, dim, _TILE):
-        gram = basis[:, lo:lo + _TILE].T @ basis[:, lo:]
-        rows = np.arange(gram.shape[0])
-        gram[rows, rows] -= 1.0
-        worst = np.maximum(worst, np.max(np.abs(gram, out=gram)))
-    return float(worst)
 
 
 def laplacian(graph):
     """Combinatorial Laplacian ``degree - adjacency`` as a dense array.
 
     Rows sum to zero and the matrix is positive semidefinite. The array is
-    read-only, so a prior built on it shares it instead of copying it.
-    Raises ``ValueError`` naming n when the n x n array alone would exceed
-    the machine's physical memory.
+    read-only, so a prior built on it shares it instead of copying it (do
+    not turn its writes back on). Raises ``ValueError`` naming n when the
+    n x n array alone would exceed the machine's physical memory.
     """
     n = graph.n
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -222,8 +206,7 @@ def laplacian(graph):
     lap[i, j] = -1.0
     lap[j, i] = -1.0
     np.fill_diagonal(lap, np.bincount(np.concatenate([i, j]), minlength=n))
-    lap.setflags(write=False)
-    return lap
+    return _sealed(lap)
 
 
 @dataclass(frozen=True)
@@ -244,7 +227,8 @@ class Spectrum:
             raise ValueError("eigenvector matrix must be square")
         if val.shape != (vec.shape[0],):
             raise ValueError("eigenvalue vector length must match basis size")
-        defect = _orthonormality_defect(vec)
+        gram = vec.T @ vec
+        defect = np.max(np.abs(gram - np.eye(vec.shape[0])))
         if defect > 1e-10:
             raise ValueError(f"basis not orthonormal (defect {defect:.2e})")
         if np.any(np.diff(val) < -1e-12):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import _as_signal, _mirrored_tiles
+from .graph_core import _as_signal
 
 __all__ = [
     "PosteriorSummary",
@@ -154,13 +154,6 @@ def _restrict(prior, observation):
     return precision, kernel, zero_basis, particular, info, tau
 
 
-def _exactly_symmetric(mat):
-    """Whether ``mat`` equals its transpose bit for bit, signed zeros
-    included, compared tile by tile."""
-    bits = mat.view(np.int64)
-    return all(np.array_equal(tile, mirror) for tile, mirror in _mirrored_tiles(bits))
-
-
 def _indefinite(curvature, tau):
     return ValueError(
         "fused precision is indefinite: curvature "
@@ -182,19 +175,14 @@ def fuse(prior, observation):
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
-    directly, with no projection through an identity kernel. A ``P`` that
-    equals its transpose bit for bit goes to ``eigh`` as it is, since
-    ``(P + P') / 2`` would reproduce it exactly.
+    directly, with no projection through an identity kernel.
     """
     precision, kernel, zero_basis, particular, g, tau = _restrict(prior, observation)
-    if kernel is None and _exactly_symmetric(precision):
-        projected = precision
-    else:
-        if kernel is not None:
-            precision = kernel.T @ precision @ kernel
-        projected = precision + precision.T
-        projected *= 0.5
+    if kernel is not None:
+        precision = kernel.T @ precision @ kernel
+    projected = precision + precision.T
     del precision  # not needed past here: free it before eigh
+    projected *= 0.5
     evals, evecs = np.linalg.eigh(projected)
     if evals.size and evals[0] < -tau:
         raise _indefinite(float(evals[0]), tau)

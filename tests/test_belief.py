@@ -326,6 +326,27 @@ class TestDiagonalPrecision:
         writable = np.array(lap)
         assert not np.shares_memory(smoothness_prior(writable, 0.0).precision, writable)
 
+    def test_a_callers_read_only_array_is_copied(self):
+        # read-only now, but writable through an earlier view or by turning
+        # writes back on: the belief must not share it
+        mat = np.eye(3)
+        view = mat[:]
+        mat.setflags(write=False)
+        belief = GaussianBelief(n=3, precision=mat, info=np.zeros(3))
+        view[0, 1] = 5.0
+        np.testing.assert_array_equal(belief.precision, np.eye(3))
+        diag = np.ones(3)
+        diag.setflags(write=False)
+        belief = GaussianBelief(n=3, precision=diag, info=np.zeros(3))
+        diag.setflags(write=True)
+        diag[0] = 7.0
+        np.testing.assert_array_equal(belief.precision, np.ones(3))
+
+    def test_a_belief_shares_another_beliefs_arrays(self):
+        obs = partial_observation(SamplingOperator(n=3, nodes=(1, 2)), np.ones(2), 0.5)
+        again = GaussianBelief(n=3, precision=obs.precision, info=obs.info)
+        assert again.precision is obs.precision and again.info is obs.info
+
     def test_ridge_prior_matches_adding_a_scaled_identity_bit_for_bit(self):
         lap = laplacian(grid_graph(4, 3))
         prior = smoothness_prior(lap, 0.3)

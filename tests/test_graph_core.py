@@ -18,7 +18,6 @@ from graphbayes import (
     spectral_decomposition,
     star_graph,
 )
-from graphbayes.graph_core import _require_symmetric
 
 from helpers import random_graph
 
@@ -129,52 +128,10 @@ class TestLaplacian:
         with pytest.raises(ValueError, match="n=1000000 nodes"):
             laplacian(Graph.from_edges(10**6, [(0, 1)]))
 
-    def test_output_is_read_only_and_owns_its_memory(self):
+    def test_output_is_read_only(self):
         lap = laplacian(path_graph(3))
-        assert lap.base is None
         with pytest.raises(ValueError, match="read-only"):
             lap[0, 0] = 5.0
-
-
-class TestTiledSymmetryCheck:
-    N = 300  # tiles of 128: the last row and column of tiles are partial
-
-    @classmethod
-    def _symmetric(cls):
-        raw = np.random.default_rng(61).standard_normal((cls.N, cls.N))
-        return raw + raw.T
-
-    # an off-diagonal tile, a partial tile off the diagonal (from either
-    # side) and the partial tile on the diagonal
-    @pytest.mark.parametrize("i, j", [(10, 200), (5, 290), (290, 5), (140, 299), (260, 299)])
-    def test_one_asymmetric_entry_is_caught(self, i, j):
-        mat = self._symmetric()
-        mat[i, j], mat[j, i] = 0.0, 2e-12
-        with pytest.raises(ValueError, match="not symmetric"):
-            _require_symmetric(mat)
-
-    @pytest.mark.parametrize("i, j", [(10, 200), (290, 5), (260, 299)])
-    def test_asymmetry_up_to_the_tolerance_is_accepted(self, i, j):
-        mat = self._symmetric()
-        mat[i, j], mat[j, i] = 0.0, 1e-12
-        assert _require_symmetric(mat) is mat
-
-    def test_same_verdict_as_the_whole_matrix_difference(self):
-        rng = np.random.default_rng(62)
-        for _ in range(60):
-            n = int(rng.integers(1, 400))
-            raw = rng.standard_normal((n, n))
-            mat = raw + raw.T
-            for _ in range(int(rng.integers(0, 3))):
-                i, j = rng.integers(0, n, size=2)
-                mat[i, j] += rng.choice([5e-13, 1e-12, 3e-12])
-            whole = np.max(np.abs(mat - mat.T)) > 1e-12
-            try:
-                _require_symmetric(mat)
-                tiled = False
-            except ValueError:
-                tiled = True
-            assert tiled == whole
 
 
 class TestSpectralDecomposition:

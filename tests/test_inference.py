@@ -38,8 +38,7 @@ from graphbayes import (
     spectral_uncertainty,
     subspace_prior,
 )
-from graphbayes import inference
-from graphbayes.inference import RANK_TOL, _conjugate_gradient, _exactly_symmetric
+from graphbayes.inference import RANK_TOL, _conjugate_gradient
 
 from helpers import random_connected_graph, random_graph, two_component_graph
 
@@ -712,42 +711,6 @@ class TestUnconstrainedFastPaths:
                 warnings.simplefilter("ignore", NonUniqueSolutionWarning)
                 solution = solve_map(prior, obs, "iterative")
             _assert_identical(solution, _solve_map_through_identity_kernel(prior, obs))
-
-
-_SUMMARY_FIELDS = ("mean", "cov_basis", "cov_values", "null_basis", "zero_basis")
-
-
-class TestSymmetricPrecisionSkipsSymmetrizing:
-    def test_exactly_symmetric_precision_matches_the_symmetrized_path(self, monkeypatch):
-        cases = list(_unconstrained_cases())
-        for prior, obs in cases:
-            assert _exactly_symmetric(prior.combine(obs).precision)
-        direct = [fuse(prior, obs) for prior, obs in cases]
-        monkeypatch.setattr(inference, "_exactly_symmetric", lambda mat: False)
-        for (prior, obs), summary in zip(cases, direct):
-            symmetrized = fuse(prior, obs)
-            for name in _SUMMARY_FIELDS:
-                _assert_identical(getattr(summary, name), getattr(symmetrized, name))
-
-    def test_slightly_asymmetric_precision_is_symmetrized_first(self):
-        for prior, obs in _unconstrained_cases():
-            lopsided = np.array(prior.precision)
-            lopsided[1, 0] += 1e-13
-            lopsided[-1, 2] -= 1e-13
-            tilted = GaussianBelief(n=prior.n, precision=lopsided, info=prior.info)
-            assert not _exactly_symmetric(tilted.combine(obs).precision)
-            evened = GaussianBelief(n=prior.n, precision=(lopsided + lopsided.T) * 0.5,
-                                    info=prior.info)
-            summary, expected = fuse(tilted, obs), fuse(evened, obs)
-            for name in _SUMMARY_FIELDS:
-                _assert_identical(getattr(summary, name), getattr(expected, name))
-
-    def test_signed_zeros_count_as_asymmetry(self):
-        mat = np.eye(3)
-        mat[0, 1], mat[1, 0] = -0.0, 0.0
-        assert not _exactly_symmetric(mat)
-        mat[1, 0] = -0.0
-        assert _exactly_symmetric(mat)
 
 
 class TestBatchedSpectralUncertainty:

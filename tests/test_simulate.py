@@ -371,42 +371,6 @@ class TestCalibrationKernel:
             _kernels.calibration_mse(5, 700, *_kernel_inputs(SUBSET), 0.8)
 
 
-class TestCalibrationKernelThreadedAtSmallN(TestCalibrationKernel):
-    """The kernel tests again with threads allowed at the test inputs' n = 15,
-    below the size where the kernel would start them itself."""
-
-    @pytest.fixture(autouse=True)
-    def _threads_at_any_size(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_MIN_THREADED_N", 1)
-
-
-class TestKernelThreadThreshold:
-    @staticmethod
-    def _started_threads(monkeypatch, n):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(_kernels, "_cores", lambda: 2)
-        monkeypatch.setattr(_kernels.threading, "Thread", Counted)
-        rng = np.random.default_rng(n)
-        vectors, scale = rng.standard_normal((n, n)), rng.uniform(0.5, 2.0, n)
-        _kernels.calibration_mse(9, 700, vectors, scale, np.eye(n), np.arange(n), 0.5)
-        return len(started)
-
-    @pytest.mark.parametrize("n", [15, 16, 32, _kernels._MIN_THREADED_N - 1])
-    def test_no_thread_below_the_threshold(self, monkeypatch, n):
-        assert self._started_threads(monkeypatch, n) == 0
-
-    @pytest.mark.parametrize("n", [_kernels._MIN_THREADED_N, 64])
-    def test_a_thread_per_extra_core_from_the_threshold(self, monkeypatch, n):
-        # n = 64 is the 8x8 grid of the CLI simulate runs
-        assert self._started_threads(monkeypatch, n) == 1
-
-
 class TestBackends:
     def test_active_backend_reports(self):
         assert _kernels.active_backend() == "numpy"
