@@ -7,108 +7,15 @@ resolves uncertainty by direction - including directions that are known
 exactly and directions about which the data say nothing at all.
 """
 
+from . import belief, graph_core, inference, sampling_eval, simulate
 from ._rng import CounterRng
-from .belief import (
-    GaussianBelief,
-    SamplingOperator,
-    SubspaceBasis,
-    bandlimit_basis,
-    full_observation,
-    partial_observation,
-    smoothness_prior,
-    subspace_prior,
-)
-from .graph_core import (
-    Graph,
-    GraphFormatError,
-    Spectrum,
-    gft,
-    grid_graph,
-    igft,
-    laplacian,
-    load_edge_list,
-    path_graph,
-    quadratic_variation,
-    random_geometric_graph,
-    read_signal_csv,
-    spectral_decomposition,
-    star_graph,
-)
-from .inference import (
-    DegradedRankWarning,
-    InconsistentConstraintsError,
-    InfiniteVarianceError,
-    NonUniqueSolutionWarning,
-    PosteriorSummary,
-    SolverDivergenceError,
-    directional_uncertainty,
-    fuse,
-    is_perfectly_reconstructible,
-    node_variances,
-    perfect_reconstruct,
-    posterior_covariance,
-    posterior_mean,
-    solve_map,
-    spectral_uncertainty,
-)
-from .sampling_eval import covariance_metric, exhaustive_select, greedy_select
-from .simulate import (
-    ExperimentConfig,
-    ExperimentReport,
-    draw_prior_signal,
-    observe,
-    render_report_csv,
-    run_calibration,
-)
+from .belief import *  # noqa: F401,F403
+from .graph_core import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .sampling_eval import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CounterRng",
-    "DegradedRankWarning",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GaussianBelief",
-    "Graph",
-    "GraphFormatError",
-    "InconsistentConstraintsError",
-    "InfiniteVarianceError",
-    "NonUniqueSolutionWarning",
-    "PosteriorSummary",
-    "SamplingOperator",
-    "SolverDivergenceError",
-    "Spectrum",
-    "SubspaceBasis",
-    "bandlimit_basis",
-    "covariance_metric",
-    "directional_uncertainty",
-    "draw_prior_signal",
-    "exhaustive_select",
-    "full_observation",
-    "fuse",
-    "gft",
-    "greedy_select",
-    "grid_graph",
-    "igft",
-    "is_perfectly_reconstructible",
-    "laplacian",
-    "load_edge_list",
-    "node_variances",
-    "observe",
-    "partial_observation",
-    "path_graph",
-    "perfect_reconstruct",
-    "posterior_covariance",
-    "posterior_mean",
-    "quadratic_variation",
-    "random_geometric_graph",
-    "read_signal_csv",
-    "render_report_csv",
-    "run_calibration",
-    "smoothness_prior",
-    "solve_map",
-    "spectral_decomposition",
-    "spectral_uncertainty",
-    "star_graph",
-    "subspace_prior",
-]
+__all__ = ["CounterRng", *belief.__all__, *graph_core.__all__, *inference.__all__,
+           *sampling_eval.__all__, *simulate.__all__]

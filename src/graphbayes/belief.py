@@ -21,7 +21,8 @@ import numpy as np
 from .graph_core import (
     _as_scalar,
     _as_signal,
-    _is_sealed,
+    _frozen,
+    _require_orthonormal,
     _require_square,
     _require_symmetric,
     _sealed,
@@ -37,14 +38,6 @@ __all__ = [
     "full_observation",
     "partial_observation",
 ]
-
-
-def _frozen(arr):
-    """``arr`` as a read-only float64 array: one the library sealed itself is
-    kept, since nothing else can change it; any other is copied."""
-    if isinstance(arr, np.ndarray) and _is_sealed(arr):
-        return arr
-    return _sealed(np.array(arr, dtype=np.float64))
 
 
 def _add_diagonal(dense, diag):
@@ -157,14 +150,11 @@ class SubspaceBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.float64)
+        b = _frozen(self.basis)
         if b.ndim != 2 or b.shape[1] < 1:
             raise ValueError("basis must be a 2-d array with at least one column")
-        gram = b.T @ b
-        defect = np.max(np.abs(gram - np.eye(b.shape[1])))
-        if defect > 1e-10:
-            raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
-        object.__setattr__(self, "basis", _frozen(b))
+        _require_orthonormal(b)
+        object.__setattr__(self, "basis", b)
 
     @property
     def n(self):

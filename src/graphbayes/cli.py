@@ -44,7 +44,7 @@ from .inference import (
     node_variances,
 )
 from .sampling_eval import covariance_metric, greedy_select
-from .simulate import ExperimentConfig, render_report_csv, run_calibration
+from .simulate import ExperimentConfig, _fmt, render_report_csv, run_calibration
 
 _METRIC_FLAGS = {"trace": "trace", "logdet": "logdet", "maxeig": "max_eig"}
 
@@ -64,10 +64,6 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for inconsistent constraints, so remap to CliError.
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
-
-
-def _fmt(value):
-    return format(value, ".12g")
 
 
 def _read_text(path):

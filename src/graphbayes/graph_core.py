@@ -174,6 +174,14 @@ def _is_sealed(arr):
     return _SEALED.get(id(arr)) is arr and not arr.flags.writeable
 
 
+def _frozen(arr):
+    """``arr`` as a read-only float64 array: one the library sealed itself is
+    kept, since nothing else can change it; any other is copied."""
+    if isinstance(arr, np.ndarray) and _is_sealed(arr):
+        return arr
+    return _sealed(np.array(arr, dtype=np.float64))
+
+
 def _require_square(mat, name="matrix"):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -182,10 +190,26 @@ def _require_square(mat, name="matrix"):
 
 
 def _require_symmetric(mat, tol=1e-12, name="matrix"):
+    """``mat`` as a float64 array, finite and symmetric to within ``tol``
+    times its largest |entry|, so the units of the matrix do not move the
+    verdict."""
     mat = _require_square(mat, name)
-    if mat.size and np.max(np.abs(mat - mat.T)) > tol:
-        raise ValueError(f"{name} is not symmetric to within {tol}")
+    # np.maximum carries a NaN from either reduction through
+    scale = float(np.maximum(mat.max(initial=0.0), -mat.min(initial=0.0)))
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} contains non-finite entries")
+    asymmetry = mat - mat.T  # the only n x n temporary: abs works in place
+    if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > tol * scale:
+        raise ValueError(f"{name} is not symmetric to within {tol} times its largest |entry|")
     return mat
+
+
+def _require_orthonormal(basis, name="basis"):
+    """Raise unless the columns of ``basis`` are orthonormal to within 1e-10."""
+    gram = basis.T @ basis
+    defect = np.max(np.abs(gram - np.eye(basis.shape[1])))
+    if not defect <= 1e-10:  # a NaN defect fails too
+        raise ValueError(f"{name} columns not orthonormal (defect {defect:.2e})")
 
 
 def laplacian(graph):
@@ -221,20 +245,14 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64)
-        val = np.asarray(self.values, dtype=np.float64)
+        vec, val = _frozen(self.vectors), _frozen(self.values)
         if vec.ndim != 2 or vec.shape[0] != vec.shape[1]:
             raise ValueError("eigenvector matrix must be square")
         if val.shape != (vec.shape[0],):
             raise ValueError("eigenvalue vector length must match basis size")
-        gram = vec.T @ vec
-        defect = np.max(np.abs(gram - np.eye(vec.shape[0])))
-        if defect > 1e-10:
-            raise ValueError(f"basis not orthonormal (defect {defect:.2e})")
-        if np.any(np.diff(val) < -1e-12):
+        _require_orthonormal(vec, name="eigenvector")
+        if np.any(np.diff(val) < -1e-12 * np.abs(val).max(initial=0.0)):
             raise ValueError("eigenvalues must be ascending")
-        vec.setflags(write=False)
-        val.setflags(write=False)
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "values", val)
 
@@ -257,7 +275,7 @@ def spectral_decomposition(mat):
     first = (np.abs(vectors) > 1e-12).argmax(axis=0)
     flip = vectors[first, np.arange(vectors.shape[1])] < 0
     vectors[:, flip] = -vectors[:, flip]
-    return Spectrum(vectors=vectors, values=values)
+    return Spectrum(vectors=_sealed(vectors), values=_sealed(values))
 
 
 def _as_signal(x, n, name="signal"):

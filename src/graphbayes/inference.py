@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import _as_signal
+from .graph_core import _as_signal, _frozen, _sealed
 
 __all__ = [
     "PosteriorSummary",
@@ -90,6 +90,10 @@ class PosteriorSummary:
     null_basis: np.ndarray  # (n, m) flat directions (infinite variance)
     zero_basis: np.ndarray  # (n, z) exactly determined directions
 
+    def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, _frozen(getattr(self, field.name)))
+
     @property
     def n(self):
         return self.mean.shape[0]
@@ -102,9 +106,7 @@ class PosteriorSummary:
 def _freeze(arr):
     # C order whatever the source (eigh returns Fortran-ordered vectors):
     # the layout decides how later products with the array round
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
+    return _sealed(np.array(arr, dtype=np.float64, order="C"))
 
 
 def _svd_solve(u, svals, vt, rhs):
@@ -229,14 +231,17 @@ def posterior_covariance(summary):
     return 0.5 * (cov + cov.T)
 
 
+def _flat_nodes(summary):
+    """Mask of the nodes whose direction has a component beyond
+    ``DIRECTION_TOL`` inside the flat subspace."""
+    return np.linalg.norm(summary.null_basis, axis=1) > DIRECTION_TOL
+
+
 def node_variances(summary):
     """Marginal variance for each node direction; ``inf`` where the node
     has a component along a flat direction."""
     finite = (summary.cov_basis ** 2) @ summary.cov_values
-    if summary.null_basis.shape[1] == 0:
-        return finite
-    null_mass = np.linalg.norm(summary.null_basis, axis=1)
-    return np.where(null_mass > DIRECTION_TOL, math.inf, finite)
+    return np.where(_flat_nodes(summary), math.inf, finite)
 
 
 def directional_uncertainty(summary, direction):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .belief import SamplingOperator, partial_observation
-from .inference import DIRECTION_TOL, fuse
+from .inference import _flat_nodes, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select", "exhaustive_select"]
 
@@ -85,7 +85,7 @@ def _screen(base, sigma2, metric):
                 scores = total + (sigma2 + diag) / z**2
             else:
                 scores = total - np.log(z**2 / sigma2)
-        scores[np.abs(z) <= DIRECTION_TOL] = math.inf
+        scores[~_flat_nodes(base)] = math.inf
         return scores, size
     if metric == "logdet":
         return total - np.log1p(diag / sigma2), size

@@ -262,6 +262,10 @@ class TestOperatorTypes:
         with pytest.raises(ValueError, match="orthonormal"):
             SubspaceBasis(basis=np.array([[1.0], [1.0]]))
 
+    def test_subspace_rejects_a_nan_basis(self):
+        with pytest.raises(ValueError, match="not orthonormal \\(defect nan\\)"):
+            SubspaceBasis(basis=np.array([[np.nan], [1.0]]))
+
     @pytest.mark.parametrize("constraints, targets, match", [
         (np.ones((1, 3)), np.zeros(1), "finite \\(k, 2\\) array"),
         (np.ones(2), np.zeros(1), "finite \\(k, 2\\) array"),
@@ -286,6 +290,26 @@ class TestOperatorTypes:
     def test_belief_requires_symmetric_precision(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianBelief(n=2, precision=np.array([[1.0, 0.5], [0.0, 1.0]]), info=np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_symmetry_tolerance_scales_with_the_matrix(self, scale):
+        rng = np.random.default_rng(61)
+        m = rng.standard_normal((30, 30))
+        # rounding leaves (M D) M' asymmetric by about 1e-15 of its entries
+        mat = (m @ np.diag(scale * rng.uniform(1.0, 2.0, 30))) @ m.T
+        assert np.max(np.abs(mat - mat.T)) > 0
+        GaussianBelief(n=30, precision=mat, info=np.zeros(30))
+        mat[0, 1] += 1e-9 * np.max(np.abs(mat))
+        with pytest.raises(ValueError, match="precision is not symmetric"):
+            GaussianBelief(n=30, precision=mat, info=np.zeros(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_dense_precision_with_non_finite_entries_rejected(self, bad, where):
+        prec = np.eye(2)
+        prec[where] = prec[where[::-1]] = bad
+        with pytest.raises(ValueError, match="precision contains non-finite entries"):
+            GaussianBelief(n=2, precision=prec, info=np.zeros(2))
 
 
 class TestDiagonalPrecision:

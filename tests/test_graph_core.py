@@ -15,9 +15,11 @@ from graphbayes import (
     quadratic_variation,
     random_geometric_graph,
     read_signal_csv,
+    Spectrum,
     spectral_decomposition,
     star_graph,
 )
+from graphbayes.graph_core import _is_sealed
 
 from helpers import random_graph
 
@@ -190,6 +192,47 @@ class TestSpectralDecomposition:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="symmetric"):
             spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_arrays_are_eighs_own_sealed_not_copied(self, monkeypatch):
+        made = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(mat):
+            made.append(eigh(mat))
+            return made[-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        spec = spectral_decomposition(laplacian(grid_graph(3, 2)))
+        values, vectors = made[0]
+        assert spec.values is values and spec.vectors is vectors
+        assert _is_sealed(spec.values) and _is_sealed(spec.vectors)
+        again = Spectrum(vectors=spec.vectors, values=spec.values)
+        assert again.vectors is spec.vectors and again.values is spec.values
+
+
+class TestSpectrum:
+    def test_a_callers_arrays_are_copied_and_left_writable(self):
+        vectors, values = np.eye(3), np.array([0.0, 1.0, 2.0])
+        earlier_view = vectors[:]
+        spec = Spectrum(vectors=vectors, values=values)
+        assert vectors.flags.writeable and values.flags.writeable
+        earlier_view[0, 0] = 5.0
+        values[0] = -1.0
+        np.testing.assert_array_equal(spec.vectors, np.eye(3))
+        np.testing.assert_array_equal(spec.values, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            spec.vectors[0, 0] = 5.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_eigenvalue_order_is_checked_relative_to_the_largest(self, scale):
+        # a descent of 1e-14 of the largest eigenvalue is rounding at any scale
+        Spectrum(vectors=np.eye(3), values=scale * np.array([0.0, 1.0, 1.0 - 1e-14]))
+        with pytest.raises(ValueError, match="ascending"):
+            Spectrum(vectors=np.eye(3), values=scale * np.array([0.0, 1.0, 0.5]))
+
+    def test_rejects_a_basis_that_is_not_orthonormal(self):
+        with pytest.raises(ValueError, match="eigenvector columns not orthonormal"):
+            Spectrum(vectors=2.0 * np.eye(2), values=np.array([0.0, 1.0]))
 
 
 class TestFourierTransform:

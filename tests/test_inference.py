@@ -14,6 +14,7 @@ from graphbayes import (
     InconsistentConstraintsError,
     InfiniteVarianceError,
     NonUniqueSolutionWarning,
+    PosteriorSummary,
     SamplingOperator,
     SolverDivergenceError,
     SubspaceBasis,
@@ -38,6 +39,7 @@ from graphbayes import (
     spectral_uncertainty,
     subspace_prior,
 )
+from graphbayes.graph_core import _is_sealed
 from graphbayes.inference import RANK_TOL, _conjugate_gradient
 
 from helpers import random_connected_graph, random_graph, two_component_graph
@@ -195,6 +197,20 @@ class TestPosteriorAccessors:
         )
         with pytest.raises(InfiniteVarianceError):
             posterior_covariance(summary)
+
+    def test_fuse_output_is_sealed_and_shared_by_a_belief(self):
+        _, summary = p2_setup()
+        fields = ("mean", "cov_basis", "cov_values", "null_basis", "zero_basis")
+        assert all(_is_sealed(getattr(summary, name)) for name in fields)
+        belief = GaussianBelief(n=2, precision=np.ones(2), info=summary.mean)
+        assert belief.info is summary.mean
+
+    def test_a_callers_arrays_are_copied(self):
+        mean = np.ones(2)
+        summary = PosteriorSummary(mean=mean, cov_basis=np.eye(2), cov_values=np.ones(2),
+                                   null_basis=np.zeros((2, 0)), zero_basis=np.zeros((2, 0)))
+        mean[0] = 5.0
+        np.testing.assert_array_equal(summary.mean, [1.0, 1.0])
 
 
 class TestDirectionalUncertainty:
