@@ -251,7 +251,10 @@ class Spectrum:
         if val.shape != (vec.shape[0],):
             raise ValueError("eigenvalue vector length must match basis size")
         _require_orthonormal(vec, name="eigenvector")
-        if np.any(np.diff(val) < -1e-12 * np.abs(val).max(initial=0.0)):
+        scale = float(np.abs(val).max(initial=0.0))  # not finite if any entry is not
+        if not np.isfinite(scale):
+            raise ValueError("eigenvalues contain non-finite entries")
+        if np.any(np.diff(val) < -1e-12 * scale):
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "vectors", vec)
         object.__setattr__(self, "values", val)

@@ -44,11 +44,13 @@ __all__ = [
     "is_perfectly_reconstructible",
 ]
 
-# Relative eigenvalue cut separating finite from infinite variance, shared
-# by fuse and conjugate gradient: tau is RANK_TOL times the largest diagonal
-# entry of the fused precision P (for a positive semidefinite P, its largest
-# |P_ij|), so the units of the signal do not shift it.
-RANK_TOL = 1e-10
+# The one rank rule, from rounding error: a computed eigenvalue or singular
+# value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
+# so one at most that counts as zero, with |A| a bound on the largest. It
+# splits finite from infinite variance in fuse and conjugate gradient
+# (|P| is the largest absolute row sum of the fused precision) and sets the
+# rank of exact constraints (|A| is the largest singular value).
+RANK_TOL = float(np.finfo(np.float64).eps)
 
 # Tolerance on the component of a query direction inside the flat subspace.
 DIRECTION_TOL = 1e-8
@@ -111,8 +113,8 @@ def _freeze(arr):
 
 def _svd_solve(u, svals, vt, rhs):
     """Minimum-norm least-squares solution of ``A x = rhs`` from the SVD of
-    ``A`` and its rank: singular values up to ``max(A.shape) eps s_0`` count as 0."""
-    cutoff = max(u.shape[0], vt.shape[1]) * np.finfo(np.float64).eps * svals[0]
+    ``A`` and its rank: singular values up to ``max(A.shape) RANK_TOL s_0`` count as 0."""
+    cutoff = max(u.shape[0], vt.shape[1]) * RANK_TOL * svals[0]
     rank = int(np.sum(svals > cutoff))
     return vt[:rank].T @ ((u[:, :rank].T @ rhs) / svals[:rank]), rank
 
@@ -142,13 +144,17 @@ def _restrict(prior, observation):
     Returns the fused precision as an n x n array, the constraint kernel
     basis (``None`` without constraints: the whole space), the constrained
     directions, the minimum-norm feasible point, the fused information on
-    the kernel shifted by that point, and the eigenvalue cut ``tau``.
+    the kernel shifted by that point, and the eigenvalue cut
+    ``tau = n RANK_TOL ||P||_inf``: the rounding error of an eigenvalue of
+    the n x n fused precision ``P``, whose largest absolute row sum bounds
+    its largest eigenvalue. Projecting onto the kernel does not raise that
+    bound, so the same ``tau`` serves the projected precision.
     """
     fused = prior.combine(observation)
     precision = fused.precision
     if precision.ndim == 1:  # both parts diagonal
         precision = np.diag(precision)
-    tau = RANK_TOL * float(precision.diagonal().max(initial=0.0))
+    tau = fused.n * RANK_TOL * float(np.linalg.norm(precision, np.inf))
     if fused.constraints.shape[0] == 0:
         return precision, None, np.zeros((fused.n, 0)), np.zeros(fused.n), fused.info, tau
     zero_basis, kernel, particular = _reduce_constraints(fused.constraints, fused.targets)
@@ -169,11 +175,14 @@ def fuse(prior, observation):
     The fused density on the constraint set ``{x : C x = d}`` is
     proportional to ``exp(-x' P x / 2 + h' x)`` with ``P`` and ``h`` the
     summed finite parts. The constraint kernel is eigendecomposed under the
-    projected precision; eigenvalues above the cut ``tau``, ``RANK_TOL``
-    times the largest diagonal entry of ``P``, have finite variance, the
-    others are flat, and one below ``-tau`` raises ``ValueError``: the fused
-    precision must be positive semidefinite. The mean is the minimum-norm
-    representative when flat directions exist.
+    projected precision; eigenvalues above the cut
+    ``tau = n RANK_TOL ||P||_inf``, the rounding error eigh commits on an
+    ``n x n`` matrix of that size, have finite variance, the others are
+    flat, and one below ``-tau`` raises ``ValueError``: the fused precision
+    must be positive semidefinite. The cut scales with ``P``, so neither
+    the units of the signal nor one very precise observation moves the
+    split. The mean is the minimum-norm representative when flat
+    directions exist.
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
@@ -288,11 +297,12 @@ def spectral_uncertainty(summary, spectrum):
 
 def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
     """CG for a symmetric PSD operator; minimum-norm solution from x0=0
-    when the right-hand side lies in the operator's range. A curvature
-    ``p'Ap / p'p`` below ``-tau`` raises as in :func:`fuse`; one up to
-    ``tau`` is a flat search direction, which in exact arithmetic only a
-    right-hand side outside the range produces, so it raises
-    :class:`SolverDivergenceError` at once."""
+    when the right-hand side lies in the operator's range. ``tau`` is the
+    eigenvalue cut of :func:`fuse`: a curvature ``p'Ap / p'p`` below
+    ``-tau`` raises as there; one up to ``tau`` is a flat search
+    direction, which in exact arithmetic only a right-hand side outside
+    the range produces, so it raises :class:`SolverDivergenceError` at
+    once."""
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.float64).copy()
     r = rhs - apply_op(x)
     target = rtol * max(np.linalg.norm(rhs), np.linalg.norm(r))

@@ -30,6 +30,30 @@ def random_connected_graph(rng, n, extra_prob=0.2):
     return Graph.from_edges(n, edges)
 
 
+def components(graph):
+    """Connected components as lists of node ids, by depth-first search."""
+    neighbours = {v: [] for v in range(graph.n)}
+    for i, j in graph.edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    label = [-1] * graph.n
+    found = []
+    for start in range(graph.n):
+        if label[start] >= 0:
+            continue
+        label[start] = len(found)
+        stack, members = [start], []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in neighbours[v]:
+                if label[w] < 0:
+                    label[w] = label[start]
+                    stack.append(w)
+        found.append(sorted(members))
+    return found
+
+
 def two_component_graph():
     """Two 5-node connected blobs with no edges between them."""
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2),

@@ -234,6 +234,15 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="eigenvector columns not orthonormal"):
             Spectrum(vectors=2.0 * np.eye(2), values=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_non_finite_eigenvalues(self, bad, where):
+        # a NaN step passes an ascending check made with <
+        values = np.array([0.0, 1.0])
+        values[where] = bad
+        with pytest.raises(ValueError, match="eigenvalues contain non-finite entries"):
+            Spectrum(vectors=np.eye(2), values=values)
+
 
 class TestFourierTransform:
     def test_eigenvector_maps_to_unit_coefficient(self):

@@ -169,6 +169,52 @@ class TestFuseClosedForm:
         for c, variances in scaled.items():
             np.testing.assert_allclose(variances, scaled[1.0], rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_a_precise_pin_leaves_the_far_end_of_a_path_finite(self, n):
+        # node 0 of an eps = 0 path pinned at sigma2 = 1e-6: the posterior
+        # is proper, with mean 1 everywhere and variance sigma2 + n - 1 at
+        # the far end; a precision spanning about 1e6 n^2 is no reason to
+        # call a direction flat
+        prior = smoothness_prior(laplacian(path_graph(n)), 0.0)
+        obs = partial_observation(SamplingOperator(n=n, nodes=(0,)), np.ones(1), 1e-6)
+        summary = fuse(prior, obs)
+        assert summary.null_basis.shape[1] == 0
+        np.testing.assert_allclose(summary.mean, 1.0, rtol=0, atol=1e-8)
+        assert node_variances(summary)[-1] == pytest.approx(n - 1, rel=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iterative = solve_map(prior, obs, "iterative")
+        np.testing.assert_allclose(iterative, summary.mean, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-7, 1e-8, 1e-10])
+    def test_a_stiff_relaxed_subspace_prior_keeps_a_weak_direction_finite(self, s):
+        # prior precision about 1/s off the subspace u = (cos t, sin t),
+        # sin t = 0.05, and one noisy sample of node 1: the direction along
+        # u has precision sin^2 t = 2.5e-3 at every s
+        sin_t = 0.05
+        basis = SubspaceBasis(basis=np.array([[np.sqrt(1 - sin_t**2)], [sin_t]]))
+        prior = subspace_prior(basis, s)
+        obs = partial_observation(SamplingOperator(n=2, nodes=(1,)), np.ones(1), 1.0)
+        summary = fuse(prior, obs)
+        assert summary.null_basis.shape[1] == 0
+        np.testing.assert_allclose(summary.mean, [19.975, 1.0], rtol=1e-3)
+        np.testing.assert_allclose(node_variances(summary), [399.0, 1.0], rtol=1e-3)
+        if s >= 1e-8:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                iterative = solve_map(prior, obs, "iterative")
+            np.testing.assert_allclose(iterative, summary.mean, rtol=1e-7)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_a_dense_rank_one_precision_has_n_minus_one_flat_directions(self, n):
+        # the eigenvalues of ones((n, n)) other than n come out of eigh a few
+        # ulps of n below zero: flat, not indefinite
+        rank_one = GaussianBelief(n=n, precision=np.ones((n, n)), info=np.zeros(n))
+        vacuous = GaussianBelief(n=n, precision=np.zeros(n), info=np.zeros(n))
+        summary = fuse(rank_one, vacuous)
+        assert summary.null_basis.shape[1] == n - 1
+        np.testing.assert_allclose(summary.cov_values, [1.0 / n], rtol=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fuse(full_observation(np.zeros(2), 1.0), full_observation(np.zeros(3), 1.0))
@@ -650,7 +696,7 @@ def _fuse_through_identity_kernel(prior, observation):
     projected = kernel.T @ fused.precision @ kernel
     projected = 0.5 * (projected + projected.T)
     evals, evecs = np.linalg.eigh(projected)
-    finite = evals >= RANK_TOL * max(float(evals[-1]), 1.0)
+    finite = evals > n * RANK_TOL * np.abs(fused.precision).sum(axis=1).max()
     g = kernel.T @ (fused.info - fused.precision @ particular)
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])

@@ -15,10 +15,17 @@ oracle written without :func:`fuse`.
   approaches the exact (constrained) one by O(variance), and the variance
   along the constrained directions stays between closed-form bounds that
   are both proportional to it.
+* Bayes risk: under a proper prior ``x ~ N(0, (L + eps I)^-1)`` the
+  posterior variance of each node is the expected squared error of the
+  linear estimator ``x_hat = E y``, ``diag((E S - I) Sigma0 (E S - I)' +
+  sigma2 E E')``, with ``S`` the selection matrix and ``Sigma0`` the prior
+  covariance.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbayes import (
     SamplingOperator,
@@ -34,32 +41,9 @@ from graphbayes import (
     spectral_decomposition,
     subspace_prior,
 )
+from graphbayes.simulate import _estimator_matrix
 
-from helpers import random_connected_graph, random_graph
-
-
-def _components(graph):
-    """Connected components as lists of node ids, by depth-first search."""
-    neighbours = {v: [] for v in range(graph.n)}
-    for i, j in graph.edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    label = [-1] * graph.n
-    components = []
-    for start in range(graph.n):
-        if label[start] >= 0:
-            continue
-        label[start] = len(components)
-        stack, members = [start], []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in neighbours[v]:
-                if label[w] < 0:
-                    label[w] = label[start]
-                    stack.append(w)
-        components.append(sorted(members))
-    return components
+from helpers import components, random_connected_graph, random_graph
 
 
 def _projector(basis):
@@ -133,7 +117,7 @@ def test_flat_subspace_is_spanned_by_unobserved_components(seed, sigma2):
     graph = random_graph(rng, n, edge_prob=0.15)
     observed = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
     indicators = []
-    for members in _components(graph):
+    for members in components(graph):
         if not np.isin(members, observed).any():
             column = np.zeros(n)
             column[members] = 1.0 / np.sqrt(len(members))
@@ -187,7 +171,7 @@ def test_noisy_pins_approach_exact_pins_at_rate_sigma2(seed, eps):
         assert np.all(variances >= sigma2 / (1 + diagonal * sigma2) * (1 - 1e-6))
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(80))
 def test_relaxed_subspace_prior_approaches_the_exact_one_at_rate_s(seed):
     rng = np.random.default_rng(400 + seed)
     while True:
@@ -216,3 +200,25 @@ def test_relaxed_subspace_prior_approaches_the_exact_one_at_rate_s(seed):
         variances = np.array([directional_uncertainty(summary, w) for w in complement])
         assert np.all(variances <= s * (1 + 1e-6))
         assert np.all(variances >= s / (1 + s * sampled_mass / sigma2) * (1 - 1e-6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.sampled_from([0.2, 0.5, 0.9]),
+       st.sampled_from([0.01, 0.3, 2.0]), st.sampled_from([0.0, 0.05, 1.5]),
+       st.integers(0, 2**32 - 1))
+def test_node_variances_are_the_bayes_risk_of_the_posterior_mean(n, edge_prob, eps,
+                                                                 sigma2, seed):
+    rng = np.random.default_rng(seed)
+    lap = laplacian(random_graph(rng, n, edge_prob=edge_prob))
+    prior = smoothness_prior(lap, eps)
+    nodes = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    op = SamplingOperator(n=n, nodes=tuple(nodes.tolist()))
+    summary = fuse(prior, partial_observation(op, np.zeros(nodes.size), sigma2))
+    estimator = _estimator_matrix(prior, op, sigma2, summary)
+
+    selection = np.eye(n)[nodes]
+    error = estimator @ selection - np.eye(n)
+    prior_cov = np.linalg.inv(lap + eps * np.eye(n))
+    risk = error @ prior_cov @ error.T + sigma2 * estimator @ estimator.T
+    np.testing.assert_allclose(node_variances(summary), risk.diagonal(), rtol=1e-9,
+                               atol=1e-9 * prior_cov.diagonal().max())

@@ -13,6 +13,7 @@ that a run repeats.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,9 @@ from graphbayes import (
     NonUniqueSolutionWarning,
     SamplingOperator,
     SubspaceBasis,
+    directional_uncertainty,
     fuse,
+    grid_graph,
     laplacian,
     node_variances,
     partial_observation,
@@ -30,9 +33,9 @@ from graphbayes import (
     spectral_decomposition,
     subspace_prior,
 )
-from graphbayes.inference import _reduce_constraints
+from graphbayes.inference import RANK_TOL, _reduce_constraints
 
-from helpers import random_graph
+from helpers import components, random_graph
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -214,3 +217,44 @@ def test_particular_point_is_the_least_squares_minimum_norm_point(rank, n, copie
                                atol=1e-8 * np.linalg.norm(expected))
     assert zero_basis.shape[1] + kernel.shape[1] == n
     assert np.linalg.norm(kernel.T @ particular) <= 1e-8 * max(np.linalg.norm(particular), 1.0)
+
+
+def _sampled_smoothness_problem(graph, nodes, sigma2, rng):
+    """eps = 0 smoothness prior on ``graph``, noisy samples on ``nodes``,
+    and the dense fused precision."""
+    lap = laplacian(graph)
+    op = SamplingOperator(n=graph.n, nodes=tuple(sorted(nodes)))
+    obs = partial_observation(op, rng.standard_normal(op.n_s), sigma2)
+    precision = lap.copy()
+    precision[list(op.nodes), list(op.nodes)] += 1.0 / sigma2
+    return smoothness_prior(lap, 0.0), obs, precision
+
+
+@SETTINGS
+@given(st.integers(1, 60), st.sampled_from([0.02, 0.05, 0.2, 0.6]),
+       st.floats(-6.0, 6.0), st.integers(0, 2**32 - 1))
+def test_flat_directions_are_the_unobserved_components_at_any_noise_scale(
+        n, edge_prob, log_sigma2, seed):
+    # eps = 0 and sigma2 from 1e-6 to 1e6: the flat directions are exactly
+    # the components with no sample, and a direction whose precision clears
+    # the rounding cut n eps ||P||_inf by a factor of 100 has finite variance
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, n, edge_prob=edge_prob)
+    nodes = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+    prior, obs, precision = _sampled_smoothness_problem(graph, nodes, 10.0 ** log_sigma2, rng)
+    summary = fuse(prior, obs)
+    unobserved = [c for c in components(graph) if not set(c) & set(nodes)]
+    assert summary.null_basis.shape[1] == len(unobserved)
+    evals, evecs = np.linalg.eigh(precision)
+    stiff = evals > 100 * n * RANK_TOL * np.abs(precision).sum(axis=1).max()
+    assert all(directional_uncertainty(summary, w) < np.inf for w in evecs[:, stiff].T)
+
+
+@pytest.mark.parametrize("sigma2", [1e-6, 1e6])
+def test_one_sampled_corner_leaves_a_48x48_grid_finite(sigma2):
+    # n = 2304, the far corner 94 steps from the only sample
+    graph = grid_graph(48, 48)
+    prior, obs, _ = _sampled_smoothness_problem(graph, [0], sigma2, np.random.default_rng(0))
+    summary = fuse(prior, obs)
+    assert summary.null_basis.shape[1] == 0
+    assert np.all(np.isfinite(node_variances(summary)))

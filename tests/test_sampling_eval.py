@@ -217,19 +217,20 @@ class TestScreenedGreedy:
 
     @pytest.mark.parametrize("metric", ["trace", "logdet"])
     def test_trust_check_when_the_cut_reclassifies_a_direction(self, metric):
-        # With 1/sigma2 = 1e6 in the fused precision, the cut tau = 1e-4
-        # calls the unobserved blob's eps = 1e-6 directions flat: every
-        # exact first-round score is inf, while the closed form, which
-        # knows no cut, prefers another node. The lowest id must win.
+        # With 1/sigma2 = 1e2 in the fused precision, the cut
+        # tau = n eps ||P||_inf, about 2e-13, calls the unobserved blob's
+        # eps = 1e-13 directions flat: every exact first-round score is inf,
+        # while the closed form, which knows no cut, prefers another node.
+        # The lowest id must win.
         g = two_component_graph()
-        prior = smoothness_prior(laplacian(g), 1e-6)
-        base = sampling_eval._posterior(prior, [], 1e-6)
-        assert np.argmin(sampling_eval._screen(base, 1e-6, metric)[0]) != 0
-        assert all(sampling_eval._score(prior, [v], 1e-6, metric) == math.inf
+        prior = smoothness_prior(laplacian(g), 1e-13)
+        base = sampling_eval._posterior(prior, [], 1e-2)
+        assert np.argmin(sampling_eval._screen(base, 1e-2, metric)[0]) != 0
+        assert all(sampling_eval._score(prior, [v], 1e-2, metric) == math.inf
                    for v in range(g.n))
-        selection = greedy_select(prior, 3, 1e-6, metric)
+        selection = greedy_select(prior, 3, 1e-2, metric)
         assert selection.nodes[0] == 0
-        assert selection.nodes == reference_greedy(prior, 3, 1e-6, metric)
+        assert selection.nodes == reference_greedy(prior, 3, 1e-2, metric)
 
     @pytest.mark.parametrize("sigma2, metric, limit", [
         (0.0, "trace", 20),
