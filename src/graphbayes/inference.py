@@ -47,17 +47,17 @@ __all__ = [
 # The one rank rule, from rounding error: a computed eigenvalue or singular
 # value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
 # so one at most that counts as zero, with |A| a bound on the largest. It
-# splits finite from infinite variance in fuse and conjugate gradient
-# (|P| is the largest absolute row sum of the fused precision) and sets the
-# rank of exact constraints (|A| is the largest singular value).
+# splits finite from infinite variance in fuse and conjugate gradient and
+# decides whether the iterative maximizer is unique (|P| is the largest
+# absolute row sum of the fused precision); it sets the rank of exact
+# constraints (|A| is the largest singular value) and of the sampled rows of
+# an orthonormal n x dim basis U (the rule on U itself, |U| = 1).
 RANK_TOL = float(np.finfo(np.float64).eps)
 
 # Tolerance on the component of a query direction inside the flat subspace.
 DIRECTION_TOL = 1e-8
 
 _CONSISTENCY_TOL = 1e-8
-
-_RECONSTRUCT_TOL = 1e-10  # smallest singular value of U[S, :] at full column rank
 
 
 class InconsistentConstraintsError(ValueError):
@@ -111,12 +111,16 @@ def _freeze(arr):
     return _sealed(np.array(arr, dtype=np.float64, order="C"))
 
 
-def _svd_solve(u, svals, vt, rhs):
+def _rank(svals, size, scale):
+    """Rank under the rank rule: singular values up to
+    ``size RANK_TOL scale`` count as 0, ``scale`` bounding the largest."""
+    return int(np.sum(svals > size * RANK_TOL * scale))
+
+
+def _svd_solve(u, svals, vt, rhs, rank):
     """Minimum-norm least-squares solution of ``A x = rhs`` from the SVD of
-    ``A`` and its rank: singular values up to ``max(A.shape) RANK_TOL s_0`` count as 0."""
-    cutoff = max(u.shape[0], vt.shape[1]) * RANK_TOL * svals[0]
-    rank = int(np.sum(svals > cutoff))
-    return vt[:rank].T @ ((u[:, :rank].T @ rhs) / svals[:rank]), rank
+    ``A`` and its rank."""
+    return vt[:rank].T @ ((u[:, :rank].T @ rhs) / svals[:rank])
 
 
 def _reduce_constraints(c_mat, d_vec):
@@ -129,7 +133,8 @@ def _reduce_constraints(c_mat, d_vec):
     constraint value.
     """
     u, svals, vt = np.linalg.svd(c_mat, full_matrices=True)
-    particular, rank = _svd_solve(u, svals, vt, d_vec)
+    rank = _rank(svals, max(c_mat.shape), svals[0])
+    particular = _svd_solve(u, svals, vt, d_vec, rank)
     violation = np.max(np.abs(c_mat @ particular - d_vec))
     if violation > _CONSISTENCY_TOL * np.max(np.abs(d_vec)):
         raise InconsistentConstraintsError(
@@ -349,6 +354,15 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     precision. The iterative path raises :class:`SolverDivergenceError`
     with the iteration count if it cannot reach ``rtol``.
 
+    The iterative path tells a unique maximizer from a non-unique one with
+    the cut of :func:`fuse`: it solves again from a seeded random start and
+    calls the maximizer non-unique when the difference ``d`` of the two
+    solutions is nonzero with curvature ``d'Ad <= tau d'd``, ``A`` the
+    operator CG ran on. A flat direction has curvature 0; CG's forward
+    error has at least the smallest finite eigenvalue, which ``fuse`` keeps
+    only above ``tau``. So both paths give the same verdict, at the cost of
+    one more operator application.
+
     When the information has a component along a flat direction (say
     ``precision=diag(1, 0)`` with ``info=ones(2)``) no maximizer exists:
     ``closed_form`` returns the pseudo-inverse mean, which ignores that
@@ -374,11 +388,13 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
             max_iter = max(10 * free, 50)
         solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter, tau=tau)
         # Flat directions are invisible to CG started at zero: re-solving
-        # from a seeded random point leaves its flat component untouched, so
-        # any disagreement between the two runs reveals non-uniqueness.
+        # from a seeded random point leaves its flat component untouched,
+        # and the curvature of the difference tells it from forward error.
         probe_start = np.random.default_rng(0x5EED).standard_normal(free)
         probe = _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=probe_start, tau=tau)
-        unique = np.linalg.norm(probe - solution) <= 1e-6 * (1.0 + np.linalg.norm(solution))
+        gap = probe - solution
+        gap_sq = float(gap @ gap)
+        unique = gap_sq == 0.0 or float(gap @ apply_op(gap)) > tau * gap_sq
         mean = particular + (solution if kernel is None else kernel @ solution)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -392,13 +408,14 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     return mean
 
 
-def _sampled_svd(subspace, sampling, tol):
-    """Thin SVD of the sampled basis rows ``U[S, :]`` and whether they have
-    full column rank: ``dim`` singular values, the smallest above ``tol``."""
+def _sampled_rank(subspace, sampling):
+    """Thin SVD of the sampled basis rows ``U[S, :]`` and their rank: the
+    rank rule on the ``n x dim`` basis ``U``, whose norm is 1, so singular
+    values up to ``n RANK_TOL`` count as 0."""
     if subspace.n != sampling.n:
         raise ValueError("subspace and sampling operator dimensions differ")
     u, svals, vt = np.linalg.svd(subspace.basis[list(sampling.nodes), :], full_matrices=False)
-    return u, svals, vt, svals.size == subspace.dim and float(svals[-1]) > tol
+    return u, svals, vt, _rank(svals, subspace.n, 1.0)
 
 
 def perfect_reconstruct(subspace, sampling, observed_s):
@@ -406,31 +423,35 @@ def perfect_reconstruct(subspace, sampling, observed_s):
 
     Solves for the subspace coefficients from one SVD of the sampled rows
     ``U[S, :]`` of the basis, taking the minimum-norm least-squares
-    solution. When :func:`is_perfectly_reconstructible` holds, that
-    solution is exact for any signal in the subspace; otherwise
-    :class:`DegradedRankWarning` is emitted.
+    solution under the rank rule of :func:`is_perfectly_reconstructible`.
+    When that predicate holds, the solution is exact for any signal in the
+    subspace; otherwise :class:`DegradedRankWarning` is emitted.
     """
-    u, svals, vt, exact = _sampled_svd(subspace, sampling, _RECONSTRUCT_TOL)
+    u, svals, vt, rank = _sampled_rank(subspace, sampling)
     if sampling.n_s < 1:
         raise ValueError("need at least one sampled node")
     observed_s = _as_signal(observed_s, sampling.n_s, name="observed vector")
-    if not exact:
+    if rank < subspace.dim:
         warnings.warn(
             "sampled basis rows do not have full column rank; returning the "
             "minimum-norm least-squares reconstruction",
             DegradedRankWarning,
             stacklevel=2,
         )
-    return subspace.basis @ _svd_solve(u, svals, vt, observed_s)[0]
+    return subspace.basis @ _svd_solve(u, svals, vt, observed_s, rank)
 
 
-def is_perfectly_reconstructible(subspace, sampling, tol=_RECONSTRUCT_TOL):
+def is_perfectly_reconstructible(subspace, sampling):
     """Whether samples pin down every subspace signal exactly.
 
     True when the sampled rows ``U[S, :]`` of the basis have full column
-    rank: there are at least as many samples as subspace dimensions and
-    the smallest singular value of the ``|S| x dim`` matrix exceeds
-    ``tol``. Then no nonzero subspace signal vanishes on the samples.
-    :func:`perfect_reconstruct` warns exactly when this is False.
+    rank: ``dim`` singular values above ``n RANK_TOL``. That is the rank
+    rule on the ``n x dim`` basis itself, whose orthonormal columns give it
+    norm 1; a basis computed from an ``n``-node graph carries rounding of
+    that size, and sampled rows of a rank-deficient basis come out of it
+    with singular values of a few ``RANK_TOL``. Then no nonzero subspace
+    signal vanishes on the samples, and the noise-free posterior under the
+    exact subspace prior is a point. :func:`perfect_reconstruct` warns
+    exactly when this is False.
     """
-    return _sampled_svd(subspace, sampling, tol)[3]
+    return _sampled_rank(subspace, sampling)[3] == subspace.dim

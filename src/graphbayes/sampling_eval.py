@@ -64,6 +64,10 @@ def _screen(base, sigma2, metric):
     (σ² + Σ_vv)/z_v² and the logdet falls by log(z_v²/σ²). With no flat
     direction it is the rank-one downdate of Σ by Σe_v. One sample cannot
     remove two flat directions, so then every score is ``inf``.
+
+    Σ = B diag(λ) Bᵀ with orthonormal ``cov_basis`` B and ``cov_values``
+    λ, so Σ_vv = (B∘B)λ and ‖Σe_v‖² = (B∘B)λ² come from B∘B without
+    forming Σ.
     """
     if metric == "logdet" and base.zero_basis.shape[1] > 0:
         return None
@@ -76,8 +80,8 @@ def _screen(base, sigma2, metric):
         total, size = logs.sum(), np.abs(logs).sum()
     if flat.shape[1] > 1:
         return np.full(base.n, math.inf), size
-    cov = basis @ (values[:, None] * basis.T)
-    diag = cov.diagonal()
+    squares = basis**2
+    diag = squares @ values
     if flat.shape[1] == 1:
         z = flat[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -90,7 +94,7 @@ def _screen(base, sigma2, metric):
     if metric == "logdet":
         return total - np.log1p(diag / sigma2), size
     denom = sigma2 + diag
-    drop = np.divide((cov**2).sum(axis=0), denom, out=np.zeros(base.n), where=denom > 0)
+    drop = np.divide(squares @ values**2, denom, out=np.zeros(base.n), where=denom > 0)
     return total - drop, size
 
 

@@ -291,6 +291,18 @@ class TestOperatorTypes:
         with pytest.raises(ValueError, match="symmetric"):
             GaussianBelief(n=2, precision=np.array([[1.0, 0.5], [0.0, 1.0]]), info=np.zeros(2))
 
+    @pytest.mark.parametrize("precision, match", [
+        (np.eye(2), "^precision must be 3x3$"),
+        (np.ones(2), "^diagonal precision must have shape \\(3,\\), got \\(2,\\)$"),
+    ])
+    def test_belief_rejects_a_precision_of_the_wrong_shape(self, precision, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianBelief(n=3, precision=precision, info=np.zeros(3))
+
+    def test_subspace_rejects_a_one_dimensional_basis(self):
+        with pytest.raises(ValueError, match="basis must be a 2-d array with at least one column"):
+            SubspaceBasis(basis=np.array([1.0, 0.0]))
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_symmetry_tolerance_scales_with_the_matrix(self, scale):
         rng = np.random.default_rng(61)

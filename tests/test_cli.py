@@ -372,3 +372,65 @@ class TestDeterminism:
         _, out_all, _ = run_cli(capsys, base + ["--nodes", "all"])
         _, out_list, _ = run_cli(capsys, base + ["--nodes", "0,1"])
         assert out_all == out_list
+
+
+class TestErrorPaths:
+    """Bad flags and files exit 1 with a message naming the problem."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--out", "{tmp}/no/dir.csv"],
+         "cannot write {tmp}/no/dir.csv"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--nodes", "0,one"],
+         "--nodes must be 'all' or comma-separated ids, got '0,one'"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--nodes", ","],
+         "--nodes must name at least one node"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--nodes", "0,2"],
+         "node id 2 out of range for n=2"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--nodes", "1,1"],
+         "duplicate node ids in sampling set"),
+        (["estimate", "{graph}", "{signal}", "--noise-free", "--prior", "bandlimit:low"],
+         "bad bandlimit in 'bandlimit:low'"),
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--prior", "rough"],
+         "--prior must be 'smooth' or 'bandlimit:<b>', got 'rough'"),
+        (["uncertainty", "{graph}", "--sigma2", "1", "--direction", "node:first"],
+         "bad node index in 'node:first'"),
+        (["uncertainty", "{graph}", "--sigma2", "1", "--direction", "node:2"],
+         "node 2 out of range"),
+        (["uncertainty", "{graph}", "--sigma2", "1", "--direction", "eig:1.5"],
+         "bad eigenvector index in 'eig:1.5'"),
+        (["uncertainty", "{graph}", "--sigma2", "1", "--direction", "eig:-1"],
+         "eigenvector index -1 out of range"),
+        (["uncertainty", "{graph}", "--sigma2", "1", "--direction", "1,x"],
+         "--direction must be 'node:<i>', 'eig:<i>' or a csv vector, got '1,x'"),
+        (["simulate", "--grid", "4", "--sigma2", "1", "--eps", "1e-4", "--trials", "10"],
+         "--grid expects WxH, got '4'"),
+        (["simulate", "--grid", "4xfour", "--sigma2", "1", "--eps", "1e-4", "--trials", "10"],
+         "--grid expects WxH, got '4xfour'"),
+        (["simulate", "--rgg", "12", "--sigma2", "1", "--eps", "1e-4", "--trials", "10"],
+         "--rgg expects n,radius, got '12'"),
+        (["simulate", "--rgg", "twelve,0.5", "--sigma2", "1", "--eps", "1e-4",
+          "--trials", "10"],
+         "--rgg expects n,radius, got 'twelve,0.5'"),
+    ])
+    def test_exit_one_with_the_message(self, capsys, tmp_path, p2_files, argv, message):
+        graph, signal = p2_files
+        fields = dict(graph=graph, signal=signal, tmp=tmp_path)
+        argv = [a.format(**fields) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message.format(**fields))
+
+    def test_memory_error_exits_one(self, capsys, monkeypatch, p2_files):
+        from graphbayes import cli
+
+        def out_of_memory(prior, observation):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "fuse", out_of_memory)
+        graph, signal = p2_files
+        code, out, err = run_cli(capsys, ["estimate", str(graph), str(signal), "--sigma2", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: the dense arrays for this graph do not fit in memory: "
+                       "Unable to allocate 7.28 TiB for an array\n")

@@ -65,6 +65,12 @@ class TestEdgeListLoader:
         g = load_edge_list("# a comment\n0 1\n# another\n")
         assert g.n == 2
 
+    def test_blank_lines_skipped_and_line_numbers_kept(self):
+        g = load_edge_list("\n0 1\n   \n\n1 2\n")
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        with pytest.raises(GraphFormatError, match="line 3: self-loop at node 2"):
+            load_edge_list("0 1\n\n2 2\n")
+
     def test_one_based_conversion(self):
         g = load_edge_list("1 2\n2 3", one_based=True)
         assert g.edges == frozenset({(0, 1), (1, 2)})
@@ -86,6 +92,10 @@ class TestGraphType:
     def test_from_edges_canonicalizes_order(self):
         g = Graph.from_edges(3, [(2, 0)])
         assert g.edges == frozenset({(0, 2)})
+
+    def test_needs_at_least_one_node(self):
+        with pytest.raises(ValueError, match="graph must have at least one node"):
+            Graph(n=0, edges=frozenset())
 
 
 class TestLaplacian:
@@ -193,6 +203,10 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError, match="symmetric"):
             spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_a_non_square_input(self):
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+            spectral_decomposition(np.zeros((2, 3)))
+
     def test_arrays_are_eighs_own_sealed_not_copied(self, monkeypatch):
         made = []
         eigh = np.linalg.eigh
@@ -233,6 +247,12 @@ class TestSpectrum:
     def test_rejects_a_basis_that_is_not_orthonormal(self):
         with pytest.raises(ValueError, match="eigenvector columns not orthonormal"):
             Spectrum(vectors=2.0 * np.eye(2), values=np.array([0.0, 1.0]))
+
+    def test_rejects_arrays_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="eigenvector matrix must be square"):
+            Spectrum(vectors=np.eye(3)[:, :2], values=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="eigenvalue vector length must match basis size"):
+            Spectrum(vectors=np.eye(2), values=np.array([0.0, 1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, 1])
@@ -359,6 +379,10 @@ class TestGenerators:
             grid_graph(0, 3)
         with pytest.raises(ValueError):
             random_geometric_graph(5, 0.0, seed=1)
+        with pytest.raises(ValueError, match="star graph needs at least 2 nodes"):
+            star_graph(1)
+        with pytest.raises(ValueError, match="need at least one node"):
+            random_geometric_graph(0, 0.5, seed=1)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, np.nan, np.inf])
     def test_radius_must_be_finite_and_positive(self, radius):
@@ -382,3 +406,12 @@ class TestSignalCsv:
     def test_non_finite_value(self):
         with pytest.raises(GraphFormatError, match="non-finite"):
             read_signal_csv("node,value\n0,nan\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1.0,2.0", "line 3: expected 'node,value'"),
+        ("one,1.0", "line 3: could not parse 'one,1.0'"),
+        ("1,high", "line 3: could not parse '1,high'"),
+    ])
+    def test_malformed_row_reports_line(self, row, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            read_signal_csv(f"node,value\n0,1.0\n{row}\n")

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphbayes import SamplingOperator, partial_observation
+from graphbayes import PosteriorSummary, SamplingOperator, partial_observation
 from graphbayes.belief import _add_precisions
+from graphbayes.sampling_eval import _screen
 
 N = 1500
 DENSE = 8 * N * N  # bytes of one n x n float64 array
@@ -59,3 +60,18 @@ def test_dense_plus_diagonal_precision_allocates_only_its_sum(dense_precision, s
         lambda: _add_precisions(dense_precision, obs.precision))
     assert total.shape == (N, N)
     assert extra < DENSE / 8
+
+
+@pytest.mark.parametrize("metric", ["trace", "logdet"])
+def test_greedy_screen_forms_no_dense_covariance(metric):
+    # with every direction finite, the covariance the screen scores is
+    # n x n; its diagonal and column norms come from cov_basis squared,
+    # one n x n array, not from the covariance and its square
+    n = 1000
+    basis = np.linalg.qr(np.random.default_rng(11).standard_normal((n, n)))[0]
+    summary = PosteriorSummary(mean=np.zeros(n), cov_basis=basis,
+                               cov_values=np.linspace(0.5, 2.0, n),
+                               null_basis=np.zeros((n, 0)), zero_basis=np.zeros((n, 0)))
+    (scores, _), extra = _allocated_beyond_result(lambda: _screen(summary, 1.0, metric))
+    assert scores.shape == (n,)
+    assert extra < 1.5 * 8 * n * n

@@ -20,6 +20,11 @@ oracle written without :func:`fuse`.
   linear estimator ``x_hat = E y``, ``diag((E S - I) Sigma0 (E S - I)' +
   sigma2 E E')``, with ``S`` the selection matrix and ``Sigma0`` the prior
   covariance.
+* Laplacian-regularized denoising (the graph Tikhonov filter, Shuman et
+  al., IEEE SPM 2013): the eps=0 smoothness prior with every node observed
+  at noise variance ``sigma2`` has mean ``(I + sigma2 L)^-1 y``, the
+  minimizer of ``|x - y|^2 + sigma2 x' L x``, and covariance
+  ``sigma2 (I + sigma2 L)^-1``.
 """
 
 import numpy as np
@@ -31,6 +36,7 @@ from graphbayes import (
     SamplingOperator,
     SubspaceBasis,
     directional_uncertainty,
+    full_observation,
     fuse,
     grid_graph,
     laplacian,
@@ -222,3 +228,19 @@ def test_node_variances_are_the_bayes_risk_of_the_posterior_mean(n, edge_prob, e
     risk = error @ prior_cov @ error.T + sigma2 * estimator @ estimator.T
     np.testing.assert_allclose(node_variances(summary), risk.diagonal(), rtol=1e-9,
                                atol=1e-9 * prior_cov.diagonal().max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.sampled_from([0.2, 0.5, 0.9]),
+       st.sampled_from([1e-3, 0.3, 1.0, 7.0, 1e3]), st.integers(0, 2**32 - 1))
+def test_laplacian_regularized_denoising(n, edge_prob, sigma2, seed):
+    rng = np.random.default_rng(seed)
+    lap = laplacian(random_graph(rng, n, edge_prob=edge_prob))
+    observed = rng.standard_normal(n)
+    summary = fuse(smoothness_prior(lap, 0.0), full_observation(observed, sigma2))
+
+    filt = np.eye(n) + sigma2 * lap
+    np.testing.assert_allclose(summary.mean, np.linalg.solve(filt, observed), rtol=0,
+                               atol=1e-9 * np.abs(observed).max())
+    np.testing.assert_allclose(posterior_covariance(summary), sigma2 * np.linalg.inv(filt),
+                               rtol=0, atol=1e-9 * sigma2)

@@ -257,6 +257,12 @@ class TestExhaustiveSelect:
         with pytest.raises(ValueError, match="n <= 12"):
             exhaustive_select(prior, 2, 1.0)
 
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_budget_outside_one_to_n_rejected(self, budget):
+        prior = smoothness_prior(laplacian(path_graph(4)), 0.0)
+        with pytest.raises(ValueError, match=f"budget must be in \\[1, 4\\], got {budget}"):
+            exhaustive_select(prior, budget, 1.0)
+
     def test_greedy_is_no_better_than_exhaustive(self):
         rng = np.random.default_rng(33)
         for _ in range(3):

@@ -55,6 +55,10 @@ class TestCounterStreams:
         second = rng.normals(4)
         assert np.max(np.abs(first - second)) > 0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            CounterRng(9).normals(-1)
+
     def test_uniforms_stay_inside_open_interval(self):
         u = _rng.uniforms(_rng.stream_key(7, 0), 0, 100000)
         assert np.all(u > 0.0)
@@ -337,6 +341,17 @@ class TestCalibrationKernel:
         mse = _kernels.calibration_mse(seed, trials, *_kernel_inputs(sample), sigma)
         assert [float(v).hex() for v in mse] == expected
 
+    def test_cores_fall_back_to_cpu_count_without_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity, such as macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _kernels._cores() == 3
+        seed, trials, sample, sigma, expected = KERNEL_GOLDEN[1]
+        mse = _kernels.calibration_mse(seed, trials, *_kernel_inputs(sample), sigma)
+        assert [float(v).hex() for v in mse] == expected
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _kernels._cores() == 1
+
     def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
         # 41 chunks on 8 threads that switch every microsecond: a sum lost
         # or added out of order changes the bits
@@ -397,6 +412,14 @@ class TestReportCsv:
         first = lines[2].split(",")
         assert first[0] == "0"
         assert float(first[1]) > 0
+
+    def test_sampled_nodes_are_echoed(self):
+        cfg = ExperimentConfig(graph=path_graph(3), eps=0.5, sigma2=1.0, trials=2, seed=4,
+                               sampling=(2, 0))
+        lines = render_report_csv(run_calibration(cfg)).splitlines()
+        assert lines[:3] == ["# eps=0.5 sigma2=1 trials=2 seed=4", "# nodes=2,0",
+                             "node,variance,mse,ratio"]
+        assert len(lines) == 3 + 3
 
     def test_rendering_is_deterministic(self):
         cfg = ExperimentConfig(graph=path_graph(3), eps=0.2, sigma2=1.0, trials=10, seed=6)
