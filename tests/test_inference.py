@@ -677,7 +677,10 @@ class TestPerfectReconstructibility:
 
     def test_holds_exactly_when_the_noise_free_posterior_is_a_point(self):
         # grid Laplacians have repeated eigenvalues and mirror-image nodes,
-        # so sampled rows of deficient rank turn up often
+        # so sampled rows of deficient rank turn up often, with a smallest
+        # singular value of a few eps; a cut at max(|S|, dim) eps instead of
+        # n eps calls one of them (9 eps, n = 12, |S| = dim = 8) full rank,
+        # where fuse keeps a flat direction and the reconstruction is 5% off
         rng = np.random.default_rng(2112)
         seen = set()
         for _ in range(300):
