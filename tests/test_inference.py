@@ -434,6 +434,22 @@ class TestSolveMap:
         with pytest.warns(NonUniqueSolutionWarning):
             solve_map(prior, obs, "closed_form")
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
+    def test_the_uniqueness_verdict_does_not_depend_on_the_units_of_the_data(self, scale):
+        # eps = 0 on a 50-node path sampled at every 7th node and on a
+        # 5-node path with no sample, whose constant is flat in any units;
+        # a verdict that compares two CG solutions of the data misses it
+        # once their forward error outgrows the flat part of the start
+        edges = [(i, i + 1) for i in range(49)] + [(i, i + 1) for i in range(50, 54)]
+        prior = smoothness_prior(laplacian(Graph.from_edges(55, edges)), 0.0)
+        op = SamplingOperator(n=55, nodes=tuple(range(0, 50, 7)))
+        obs = partial_observation(op, scale * np.arange(1.0, op.n_s + 1), 0.3)
+        with pytest.warns(NonUniqueSolutionWarning):
+            closed = solve_map(prior, obs, "closed_form")
+        with pytest.warns(NonUniqueSolutionWarning):
+            iterative = solve_map(prior, obs, "iterative")
+        np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9 * scale)
+
     def test_iteration_cap_reports_divergence(self):
         rng = np.random.default_rng(40)
         g = random_connected_graph(rng, 12)

@@ -57,6 +57,7 @@ def problems(draw):
         # on the subspace, or anywhere (noise-free samples may then conflict)
         truth = basis.basis @ rng.standard_normal(dim) if draw(st.booleans()) \
             else rng.standard_normal(n)
+    truth = truth * draw(st.sampled_from([1.0, 1e-6, 1e4, 1e6]))  # units of the data
     nodes = rng.choice(n, size=draw(st.integers(0, n)), replace=False)
     op = SamplingOperator(n=n, nodes=tuple(sorted(nodes.tolist())))
     sigma2 = draw(st.sampled_from([0.0, 0.3]))
