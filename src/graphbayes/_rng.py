@@ -6,7 +6,9 @@ uniform pairs. Streams are stateless functions of (seed, stream, counter),
 so any trial can be regenerated in isolation and parallel execution cannot
 change the numbers. The scalar helpers ``mix64`` and ``stream_key`` work on
 Python ints; every array of variates comes from the block functions, so
-single streams and blocks share one hashing and one Box-Muller path.
+single streams and blocks share one hashing and one Box-Muller path. That
+path runs in place in caller-given buffers; ``normals_block`` allocates one
+scratch array per call and reuses it for every block of rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
-_BLOCK_PAIRS = 1 << 13  # Box-Muller pairs per block of rows: 64 KiB temporaries
+_BLOCK_PAIRS = 1 << 15  # Box-Muller pairs per block of rows: 256 KiB per scratch buffer
 
 
 def mix64(z):
@@ -34,24 +36,28 @@ def stream_key(seed, stream):
     return mix64((seed + (stream + 1) * GOLDEN) & _MASK)
 
 
-def _mix_u64(z):
-    """splitmix64 finalizer on a uint64 array, in place; returns ``z``."""
+def _mix_u64(z, spare):
+    """splitmix64 finalizer on a uint64 array, in place; returns ``z``.
+
+    ``spare`` is a uint64 array of the same shape that the shifts go into.
+    """
     # uint64 array wraparound is intended throughout
-    shifted = z >> np.uint64(30)
-    z ^= shifted
+    np.right_shift(z, np.uint64(30), out=spare)
+    z ^= spare
     z *= np.uint64(_MIX_A)
-    np.right_shift(z, np.uint64(27), out=shifted)
-    z ^= shifted
+    np.right_shift(z, np.uint64(27), out=spare)
+    z ^= spare
     z *= np.uint64(_MIX_B)
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
+    np.right_shift(z, np.uint64(31), out=spare)
+    z ^= spare
     return z
 
 
 def stream_keys(seed, start, stop):
     """Vectorized ``stream_key`` for streams ``start .. stop-1``."""
     idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    return _mix_u64(np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN))
+    z = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)
+    return _mix_u64(z, np.empty_like(z))
 
 
 def uniforms(key, start, count):
@@ -61,12 +67,19 @@ def uniforms(key, start, count):
 
 def uniforms_block(keys, start, count):
     """Row r holds ``uniforms(keys[r], start, count)``."""
-    return _unit(keys, np.arange(start + 1, start + count + 1, dtype=np.uint64))
+    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    out = np.empty((keys.shape[0], count), dtype=np.uint64)
+    return _unit(keys, offsets, out, np.empty_like(out))
 
 
-def _unit(keys, counters):
-    # uniforms of every key at the given counters, as one fresh array
-    z = _mix_u64(keys[:, None] + counters[None, :] * np.uint64(GOLDEN))
+def _unit(keys, offsets, out, spare):
+    """Uniforms of every key at counter offsets ``c * GOLDEN``, in place.
+
+    ``out`` and ``spare`` are uint64 arrays of shape
+    ``(len(keys), len(offsets))``; the uniforms overwrite ``out``, which is
+    returned viewed as float64, and ``spare`` is left as garbage.
+    """
+    z = _mix_u64(np.add(keys[:, None], offsets[None, :], out=out), spare)
     z >>= np.uint64(11)
     # the top 53 bits convert exactly; the doubles overwrite the integers
     u = z.view(np.float64)
@@ -93,19 +106,25 @@ def normals_block(keys, start_pair, count, out=None):
         out = np.empty((keys.shape[0], 2 * pairs))
     # Box-Muller: pair m takes u1 from uniform position 2 m (counter 2 m + 1)
     # and u2 from the next one, each hashed as one contiguous array
-    first = np.arange(2 * start_pair + 1, 2 * (start_pair + pairs), 2, dtype=np.uint64)
-    second = first + np.uint64(1)
-    # rows go in blocks so that the temporaries stay small and in cache
+    first = np.arange(2 * start_pair + 1, 2 * (start_pair + pairs), 2,
+                      dtype=np.uint64) * np.uint64(GOLDEN)
+    second = first + np.uint64(GOLDEN)
+    # rows go in blocks of at most _BLOCK_PAIRS pairs (one row if a row is
+    # longer), and every step of a block runs in place in one scratch array
     step = max(1, _BLOCK_PAIRS // max(pairs, 1))
+    scratch = np.empty((3, min(step, keys.shape[0]) * pairs), dtype=np.uint64)
     for lo in range(0, keys.shape[0], step):
         block = keys[lo:lo + step]
-        radius = _unit(block, first)
+        radius, angle, spare = (s[:block.shape[0] * pairs].reshape(block.shape[0], pairs)
+                                for s in scratch)
+        radius = _unit(block, first, radius, spare)
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle = _unit(block, second)
+        angle = _unit(block, second, angle, spare)
         angle *= 2.0 * np.pi
-        trig = np.cos(angle)
+        trig = spare.view(np.float64)
+        np.cos(angle, out=trig)
         np.multiply(radius, trig, out=out[lo:lo + step, 0::2])
         np.sin(angle, out=trig)
         np.multiply(radius, trig, out=out[lo:lo + step, 1::2])

@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphbayes import (
     CounterRng,
@@ -74,8 +76,42 @@ class TestCounterStreams:
         keys = _rng.stream_keys(5, 0, 8)
         block = _rng.normals_block(keys, 0, 7)
         for t in range(8):
-            row = _rng.normals(_rng.stream_key(5, t), 0, 7)
-            np.testing.assert_allclose(block[t], row, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(block[t], _rng.normals(_rng.stream_key(5, t), 0, 7))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.integers(0, 2**64 - 1), st.integers(0, 2 * _rng._BLOCK_PAIRS + 3),
+           st.integers(0, 2**20), st.booleans())
+    # a long row (one per block) and rows that split into three blocks
+    @example(None, 1, 2 * _rng._BLOCK_PAIRS + 3, 0, True).via("block longer than a row")
+    @example(None, 2, 3001, 5, False).via("rows split across blocks")
+    def test_block_normals_are_the_per_stream_normals_bit_for_bit(
+            self, data, seed, count, start_pair, given_out):
+        pairs = (count + 1) // 2
+        step = max(1, _rng._BLOCK_PAIRS // max(pairs, 1))
+        # rows past `step` start a new block of rows
+        rows = (3 * step - 1 if data is None
+                else data.draw(st.integers(0, min(2 * step + 1, 64)), label="rows"))
+        keys = _rng.stream_keys(seed, 0, rows)
+        out = np.full((rows, 2 * pairs), np.nan) if given_out else None
+        block = _rng.normals_block(keys, start_pair, count, out=out)
+        assert block.shape == (rows, count)
+        if given_out:  # written into `out`, which started as NaN
+            np.testing.assert_array_equal(out[:, :count].view(np.uint64), block.view(np.uint64))
+        for t in range(rows):
+            row = _rng.normals(_rng.stream_key(seed, t), start_pair, count)
+            np.testing.assert_array_equal(block[t].view(np.uint64), row.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           st.integers(0, 2**64 - 64), st.integers(0, 40))
+    def test_uniforms_are_the_hashed_counters(self, keys, start, count):
+        # the pure-Python definition: counter c of key k is the top 53 bits
+        # of mix64(k + c * GOLDEN), centred in its interval of width 2**-53
+        block = _rng.uniforms_block(np.array(keys, dtype=np.uint64), start, count)
+        oracle = [[((_rng.mix64(k + c * _rng.GOLDEN) >> 11) + 0.5) * 2.0 ** -53
+                   for c in range(start + 1, start + count + 1)] for k in keys]
+        assert [[u.hex() for u in row] for row in block.tolist()] == [
+            [u.hex() for u in row] for row in oracle]
 
     def test_golden_values(self):
         # recorded from the stream definition; any change to the hashing,
