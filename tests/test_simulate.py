@@ -35,6 +35,15 @@ from graphbayes.simulate import _estimator_matrix
 from helpers import two_component_graph
 
 
+@st.composite
+def _block_shapes(draw):
+    """``(count, rows)`` for one ``normals_block`` call of one to three
+    blocks of rows (or of rows longer than a block)."""
+    count = draw(st.integers(0, 2 * _rng._BLOCK_PAIRS + 3))
+    step = max(1, _rng._BLOCK_PAIRS // max((count + 1) // 2, 1))
+    return count, draw(st.integers(0, min(2 * step + 1, 64)))
+
+
 @pytest.fixture
 def p2_spectrum():
     return spectral_decomposition(laplacian(path_graph(2)))
@@ -79,18 +88,13 @@ class TestCounterStreams:
             np.testing.assert_array_equal(block[t], _rng.normals(_rng.stream_key(5, t), 0, 7))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(st.data(), st.integers(0, 2**64 - 1), st.integers(0, 2 * _rng._BLOCK_PAIRS + 3),
-           st.integers(0, 2**20), st.booleans())
-    # a long row (one per block) and rows that split into three blocks
-    @example(None, 1, 2 * _rng._BLOCK_PAIRS + 3, 0, True).via("block longer than a row")
-    @example(None, 2, 3001, 5, False).via("rows split across blocks")
+    @given(st.integers(0, 2**64 - 1), _block_shapes(), st.integers(0, 2**20), st.booleans())
+    @example(1, (2 * _rng._BLOCK_PAIRS + 3, 3), 0, True).via("a row longer than a block")
+    @example(2, (3001, 62), 5, False).via("three blocks of 21 rows")
     def test_block_normals_are_the_per_stream_normals_bit_for_bit(
-            self, data, seed, count, start_pair, given_out):
+            self, seed, shape, start_pair, given_out):
+        count, rows = shape
         pairs = (count + 1) // 2
-        step = max(1, _rng._BLOCK_PAIRS // max(pairs, 1))
-        # rows past `step` start a new block of rows
-        rows = (3 * step - 1 if data is None
-                else data.draw(st.integers(0, min(2 * step + 1, 64)), label="rows"))
         keys = _rng.stream_keys(seed, 0, rows)
         out = np.full((rows, 2 * pairs), np.nan) if given_out else None
         block = _rng.normals_block(keys, start_pair, count, out=out)
