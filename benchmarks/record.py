@@ -20,9 +20,11 @@ recorded with ``result`` and ``environment`` null and the tail of its
 stderr, and the series goes on.
 
 A summary follows: for each workload and checkout, the median and
-quartiles of every metric over the runs with a result, and with two
-checkouts the number of seeds, among those where both have a result, on
-which the second has the lower value.
+quartiles of every metric over the runs with a result. With two
+checkouts it also counts, among the seeds where both have a result, those
+on which the second checkout is better, in the direction (``better``:
+``lower`` or ``higher``) that ``BENCHMARK.json`` declares for the metric,
+and, separately, those on which the two are tied.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_perfbench.json")
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
-    RUN_SECONDS = json.load(_handle)["run_seconds"]
+    _BENCHMARK = json.load(_handle)
+RUN_SECONDS = _BENCHMARK["run_seconds"]
+BETTER = {m["name"]: m["better"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK["per_layer"]}
 
 
 def _git(checkout, *args):
@@ -92,12 +96,15 @@ def _summary(entries, checkouts):
                 q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
                 print(f"{workload:10s} {name:36s} {c}: median {statistics.median(values):.6g} "
                       f"quartiles {q[0]:.6g} {q[2]:.6g} ({len(values)} runs)")
-            if len(checkouts) == 2:
+            if len(checkouts) == 2 and name in BETTER:
                 first, second = (runs[c] for c in checkouts)
-                seeds = [s for s in first if name in first[s] and name in second.get(s, {})]
-                wins = sum(second[s][name]["value"] < first[s][name]["value"] for s in seeds)
-                print(f"{workload:10s} {name:36s} lower in the second checkout on "
-                      f"{wins} of {len(seeds)} seeds")
+                pairs = [(first[s][name]["value"], second[s][name]["value"]) for s in first
+                         if name in first[s] and name in second.get(s, {})]
+                sign = 1 if BETTER[name] == "higher" else -1
+                wins = sum(sign * (b - a) > 0 for a, b in pairs)
+                ties = sum(a == b for a, b in pairs)
+                print(f"{workload:10s} {name:36s} better ({BETTER[name]}) in the second "
+                      f"checkout on {wins} of {len(pairs)} seeds, tied on {ties}")
 
 
 def main():

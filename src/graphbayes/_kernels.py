@@ -8,7 +8,8 @@ on every run.
 from __future__ import annotations
 
 import os
-import threading
+import queue
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,9 +45,10 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     ``sigma``, applies the linear ``estimator`` and accumulates squared
     per-node errors.
 
-    Chunks of trials run on up to one thread per core (numpy releases the
-    GIL in its loops and BLAS calls); their sums are added in chunk order,
-    so the result does not depend on the number of threads.
+    Chunks of trials run on a pool of up to one thread per core (numpy
+    releases the GIL in its loops and BLAS calls), in whatever order the
+    pool takes them; their sums are added in chunk order, so the result
+    does not depend on the number of threads.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     scale = np.ascontiguousarray(scale, dtype=np.float64)
@@ -61,56 +63,40 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     n_chunks = -(-trials // _CHUNK)
     workers = max(1, min(_cores(), n_chunks))
     rows = min(_CHUNK, trials)
-    # Each worker reuses one draw and one signal buffer. They are allocated
-    # here, on the calling thread, so that their memory goes back to its
-    # allocator afterwards instead of staying with a finished thread.
-    buffers = [(np.empty((rows, 2 * ((count + 1) // 2))), np.empty((rows, n)))
-               for _ in range(workers)]
+    # One draw and one signal buffer per thread, which a running chunk
+    # borrows from the queue. They are allocated here, on the calling thread,
+    # so that their memory goes back to its allocator afterwards instead of
+    # staying with a finished thread.
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty((rows, 2 * ((count + 1) // 2))), np.empty((rows, n))))
 
-    def chunk_sum(chunk, draw_buffer, signal_buffer):
-        lo = chunk * _CHUNK
-        hi = min(lo + _CHUNK, trials)
-        keys = _rng.stream_keys(seed, lo, hi)
-        draw = _rng.normals_block(keys, 0, count, out=draw_buffer[:hi - lo])
-        xi = draw[:, :n]
-        xi *= scale
-        signals = np.matmul(xi, vectors.T, out=signal_buffer[:hi - lo])
-        eta = draw[:, eta_at:]
-        eta *= sigma
-        eta += signals if observe_all else signals[:, sample]
-        err = np.matmul(eta, estimator.T, out=xi)  # over the spent signal normals
-        err -= signals
-        err *= err
-        return err.sum(axis=0)
-
-    sums = [None] * n_chunks
-    failures = []
-    acc = np.zeros(n)
-    added = 0
-
-    def work(first):
-        nonlocal acc, added
+    def chunk_sum(chunk):
+        draw_buffer, signal_buffer = buffers.get()
         try:
-            for chunk in range(first, n_chunks, workers):
-                if failures:
-                    return
-                sums[chunk] = chunk_sum(chunk, *buffers[first])
-                # the calling thread adds the finished sums in chunk order
-                while first == 0 and added < n_chunks and sums[added] is not None:
-                    acc += sums[added]
-                    sums[added] = None
-                    added += 1
-        except BaseException as exc:  # re-raised on the calling thread
-            failures.append(exc)
+            lo = chunk * _CHUNK
+            hi = min(lo + _CHUNK, trials)
+            keys = _rng.stream_keys(seed, lo, hi)
+            draw = _rng.normals_block(keys, 0, count, out=draw_buffer[:hi - lo])
+            xi = draw[:, :n]
+            xi *= scale
+            signals = np.matmul(xi, vectors.T, out=signal_buffer[:hi - lo])
+            eta = draw[:, eta_at:]
+            eta *= sigma
+            eta += signals if observe_all else signals[:, sample]
+            err = np.matmul(eta, estimator.T, out=xi)  # over the spent signal normals
+            err -= signals
+            err *= err
+            return err.sum(axis=0)
+        finally:
+            buffers.put((draw_buffer, signal_buffer))
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    for chunk in range(added, n_chunks):
-        acc += sums[chunk]
+    acc = np.zeros(n)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for part in pool.map(chunk_sum, range(n_chunks)):
+            acc += part
+    finally:
+        # a failed chunk cancels the chunks that have not started
+        pool.shutdown(cancel_futures=True)
     return acc / trials

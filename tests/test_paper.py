@@ -25,6 +25,11 @@ oracle written without :func:`fuse`.
   at noise variance ``sigma2`` has mean ``(I + sigma2 L)^-1 y``, the
   minimizer of ``|x - y|^2 + sigma2 x' L x``, and covariance
   ``sigma2 (I + sigma2 L)^-1``.
+* Monte Carlo rate: the squared error of one trial at a node with Bayes
+  risk ``v`` is ``v`` times a chi-square variable with one degree of
+  freedom, so the mean over T trials has standard deviation
+  ``v sqrt(2/T)``, and ``run_calibration``'s mse stays within a few of
+  those of the variance.
 """
 
 import numpy as np
@@ -33,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbayes import (
+    ExperimentConfig,
     SamplingOperator,
     SubspaceBasis,
     directional_uncertainty,
@@ -43,6 +49,7 @@ from graphbayes import (
     node_variances,
     partial_observation,
     posterior_covariance,
+    run_calibration,
     smoothness_prior,
     spectral_decomposition,
     subspace_prior,
@@ -244,3 +251,21 @@ def test_laplacian_regularized_denoising(n, edge_prob, sigma2, seed):
                                atol=1e-9 * np.abs(observed).max())
     np.testing.assert_allclose(posterior_covariance(summary), sigma2 * np.linalg.inv(filt),
                                rtol=0, atol=1e-9 * sigma2)
+
+
+@pytest.mark.parametrize("sampling, sigma2", [((3, 8, 14, 21, 27), 0.5),
+                                              ((3, 8, 14, 21, 27), 0.0),
+                                              (None, 2.0)],
+                         ids=["five-samples", "five-samples-noise-free", "full"])
+@pytest.mark.parametrize("trials", [2000, 32000])  # 32000 trials: 125 chunks
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calibration_mse_approaches_the_bayes_risk_at_the_monte_carlo_rate(
+        sampling, sigma2, trials, seed):
+    report = run_calibration(ExperimentConfig(graph=grid_graph(6, 5), eps=0.1, sigma2=sigma2,
+                                              trials=trials, seed=seed, sampling=sampling))
+    risky = report.variance > 0
+    # noise-free samples are recovered exactly, trial by trial
+    assert np.array_equal(~risky, np.isin(np.arange(30), sampling or ()) & (sigma2 == 0))
+    assert np.all(report.mse[~risky] == 0.0)
+    deviation = np.abs(report.mse[risky] - report.variance[risky])
+    assert np.all(deviation <= 5 * np.sqrt(2 / trials) * report.variance[risky])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -356,7 +357,7 @@ KERNEL_GOLDEN = [
         "0x1.8fe43b61ba835p+5", "0x1.1eceb225bd500p+5", "0x1.551af85de92d7p+5",
         "0x1.c1fc100e6db6fp+4", "0x1.4bf92105a7d51p+5", "0x1.63dad1f13b0e0p+4",
     ]),
-    # the same subset noise-free, 100 trials: one chunk and no thread
+    # the same subset noise-free, 100 trials: one chunk on one pool thread
     (103, 100, SUBSET, 0.0, [
         "0x1.0e82c0dd5fc03p+4", "0x1.01ce47781c8cbp+5", "0x1.0d343a2202a34p+4",
         "0x1.d4fb32d17fcd2p+6", "0x1.914743aebbda6p+6", "0x1.57a49765243e0p+5",
@@ -424,6 +425,41 @@ class TestCalibrationKernel:
         monkeypatch.setattr(_rng, "normals_block", fail_on_second_chunk)
         with pytest.raises(MemoryError, match="chunk 1"):
             _kernels.calibration_mse(5, 700, *_kernel_inputs(SUBSET), 0.8)
+
+    def test_no_kernel_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_cores", lambda: 3)
+        before = threading.enumerate()
+        _kernels.calibration_mse(5, 700, *_kernel_inputs(SUBSET), 0.8)
+        assert threading.enumerate() == before
+
+        def fail(*args, **kwargs):
+            raise MemoryError("every chunk")
+
+        monkeypatch.setattr(_rng, "normals_block", fail)
+        with pytest.raises(MemoryError, match="every chunk"):
+            _kernels.calibration_mse(5, 700, *_kernel_inputs(SUBSET), 0.8)
+        assert threading.enumerate() == before
+
+    def test_a_failed_chunk_stops_the_chunks_not_started(self, monkeypatch):
+        # chunk 1 of 41 fails at once and every other chunk takes 10 ms, so
+        # the chunks started after the failure are counted, not raced
+        monkeypatch.setattr(_kernels, "_cores", lambda: 2)
+        draw = _rng.normals_block
+        first_keys = {_rng.stream_key(6, 256 * chunk): chunk for chunk in range(41)}
+        started = []
+
+        def slow_or_failing(keys, *args, **kwargs):
+            chunk = first_keys[int(keys[0])]
+            started.append(chunk)
+            if chunk == 1:
+                raise MemoryError("chunk 1")
+            time.sleep(0.01)
+            return draw(keys, *args, **kwargs)
+
+        monkeypatch.setattr(_rng, "normals_block", slow_or_failing)
+        with pytest.raises(MemoryError, match="chunk 1"):
+            _kernels.calibration_mse(6, 40 * 256 + 7, *_kernel_inputs(SUBSET), 0.8)
+        assert 1 in started and len(started) < 10
 
 
 class TestBackends:
