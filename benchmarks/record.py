@@ -96,7 +96,7 @@ def _summary(entries, checkouts):
                 q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
                 print(f"{workload:10s} {name:36s} {c}: median {statistics.median(values):.6g} "
                       f"quartiles {q[0]:.6g} {q[2]:.6g} ({len(values)} runs)")
-            if len(checkouts) == 2 and name in BETTER:
+            if len(checkouts) == 2:
                 first, second = (runs[c] for c in checkouts)
                 pairs = [(first[s][name]["value"], second[s][name]["value"]) for s in first
                          if name in first[s] and name in second.get(s, {})]
