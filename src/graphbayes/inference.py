@@ -174,6 +174,33 @@ def _indefinite(curvature, tau):
     )
 
 
+def _symmetrized(matrix, out=None):
+    """``(matrix + matrix.T) / 2``, written to ``out`` when given."""
+    out = np.add(matrix, matrix.T, out=out)
+    out *= 0.5
+    return out
+
+
+def _eigen_split(symmetric, tau):
+    """Eigendecompose one symmetric matrix, or a stack of them with one cut
+    each in ``tau``, and split the spectra at the cut.
+
+    Returns the eigenvalues, the eigenvectors and the mask of eigenvalues
+    above the cut (finite variance); an eigenvalue below ``-tau`` raises
+    ``ValueError``, the first such matrix of a stack deciding the message.
+    ``eigh`` runs one matrix at a time, so a matrix's bits do not depend on
+    the stack it is in.
+    """
+    evals, evecs = np.linalg.eigh(symmetric)
+    cut = np.asarray(tau, dtype=np.float64)[..., None]
+    lowest = evals[..., :1]  # empty for 0 x 0 matrices
+    below = np.flatnonzero(lowest < -cut)
+    if below.size:
+        first = below[0]
+        raise _indefinite(float(lowest.reshape(-1)[first]), float(cut.reshape(-1)[first]))
+    return evals, evecs, evals > cut
+
+
 def fuse(prior, observation):
     """Fuse two beliefs and summarize the resulting posterior.
 
@@ -196,13 +223,9 @@ def fuse(prior, observation):
     precision, kernel, zero_basis, particular, g, tau = _restrict(prior, observation)
     if kernel is not None:
         precision = kernel.T @ precision @ kernel
-    projected = precision + precision.T
+    projected = _symmetrized(precision)
     del precision  # not needed past here: free it before eigh
-    projected *= 0.5
-    evals, evecs = np.linalg.eigh(projected)
-    if evals.size and evals[0] < -tau:
-        raise _indefinite(float(evals[0]), tau)
-    finite = evals > tau
+    evals, evecs, finite = _eigen_split(projected, tau)
 
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
@@ -387,7 +410,14 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
         free = rhs.shape[0]
         if max_iter is None:
             max_iter = max(10 * free, 50)
-        solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter, tau=tau)
+        # rounding of the right-hand side h - P particular, restricted: one
+        # at most this is noise, whose solution is 0
+        floor = (particular.shape[0] * RANK_TOL * np.linalg.norm(prior.info + observation.info)
+                 + tau * np.linalg.norm(particular))
+        if np.linalg.norm(rhs) <= floor:
+            solution = np.zeros(free)
+        else:
+            solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter, tau=tau)
         # Flat directions are invisible to CG started at zero. Solving
         # A d = 0 from a seeded random point removes the start's component
         # in the range of A and leaves its flat part untouched; the

@@ -7,8 +7,9 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .belief import SamplingOperator, partial_observation
-from .inference import _flat_nodes, fuse
+from .inference import _eigen_split, _flat_nodes, _restrict, _symmetrized, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select", "exhaustive_select"]
 
@@ -23,16 +24,26 @@ def covariance_metric(summary, metric):
     directions are present it is ``-inf``, the count of such directions
     being readable off ``summary.zero_basis``.
     """
+    _require_metric(metric)
+    return _metric_rule(summary.cov_values, summary.null_basis.shape[1],
+                        summary.zero_basis.shape[1], metric)
+
+
+def _require_metric(metric):
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if summary.null_basis.shape[1] > 0:
+
+
+def _metric_rule(values, flat, zero, metric):
+    """:func:`covariance_metric` of a posterior with finite variances
+    ``values``, ``flat`` flat directions and ``zero`` zero-variance ones."""
+    if flat > 0:
         return math.inf
-    values = summary.cov_values
     if metric == "trace":
         return float(values.sum())
     if metric == "max_eig":
         return float(values.max()) if values.size else 0.0
-    if summary.zero_basis.shape[1] > 0:
+    if zero > 0:
         return -math.inf
     return float(np.log(values).sum())
 
@@ -43,10 +54,18 @@ def covariance_metric(summary, metric):
 # round scores every candidate exactly.
 _SCREEN_RTOL = 1e-8
 
+# Bytes of one slice of the stacked candidate matrices that a round hands to
+# eigh; a round holds about one slice per thread, never all candidates.
+_SLICE_BYTES = 1 << 20
+
+
+def _observation(n, nodes, sigma2):
+    op = SamplingOperator(n=n, nodes=tuple(nodes))
+    return partial_observation(op, np.zeros(op.n_s), sigma2)
+
 
 def _posterior(prior, nodes, sigma2):
-    op = SamplingOperator(n=prior.n, nodes=tuple(nodes))
-    return fuse(prior, partial_observation(op, np.zeros(op.n_s), sigma2))
+    return fuse(prior, _observation(prior.n, nodes, sigma2))
 
 
 def _score(prior, nodes, sigma2, metric):
@@ -98,14 +117,59 @@ def _screen(base, sigma2, metric):
     return total - drop, size
 
 
+def _exact_scores(prior, selected, candidates, sigma2, metric):
+    """``_score(prior, selected + [v], sigma2, metric)`` for each ``v`` of
+    ``candidates``, bit for bit, from stacked eigendecompositions.
+
+    On the calling thread, each candidate's beliefs are fused and restricted
+    to their constraint kernel, projected and symmetrized as :func:`fuse`
+    does, into slices of at most ``_SLICE_BYTES``. Each slice goes to
+    :func:`_eigen_split` whole, on up to one thread per core, in about the
+    same number of slices per thread; ``eigh`` takes a stack one matrix at
+    a time, so neither the slicing nor the thread count moves a bit.
+    """
+    n = prior.n
+    per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
+    slices = -(-len(candidates) // per_slice)
+    workers = max(1, min(_kernels._cores(), slices))
+    # as many slices for each thread, of as many candidates each
+    per_slice = -(-len(candidates) // (workers * -(-slices // workers)))
+    zero_counts = []
+
+    def build():
+        stack = None
+        for v in candidates:
+            precision, kernel, zero_basis, _, _, tau = _restrict(
+                prior, _observation(n, selected + [v], sigma2))
+            if kernel is not None:
+                precision = kernel.T @ precision @ kernel
+            m = precision.shape[0]
+            if stack is not None and (count == per_slice or stack.shape[1] != m):
+                yield stack[:count], taus[:count]
+                stack = None
+            if stack is None:
+                stack, taus, count = np.empty((per_slice, m, m)), np.empty(per_slice), 0
+            _symmetrized(precision, out=stack[count])
+            taus[count] = tau
+            zero_counts.append(zero_basis.shape[1])
+            count += 1
+        if stack is not None:
+            yield stack[:count], taus[:count]
+
+    def split(task):
+        evals, _, finite = _eigen_split(*task)  # only numpy off the calling thread
+        return evals, finite
+
+    spectra = [row for evals, finite in _kernels.map_in_order(split, build(), workers)
+               for row in zip(evals, finite)]
+    return [_metric_rule(1.0 / values[kept], np.count_nonzero(~kept), zero, metric)
+            for (values, kept), zero in zip(spectra, zero_counts)]
+
+
 def _next_node(prior, selected, remaining, sigma2, metric):
     """The node of ``remaining`` with the lowest exact score, the lowest id
-    among bit-identical scores: screened from one posterior, confirmed by
-    :func:`fuse` on the near-ties."""
-
-    def exact(v):
-        return _score(prior, selected + [v], sigma2, metric)
-
+    among bit-identical scores: screened from one posterior, then scored
+    exactly by :func:`_exact_scores` on the near-ties."""
     screened = None
     if metric == "trace" or (metric == "logdet" and sigma2 > 0):
         screened = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
@@ -117,10 +181,11 @@ def _next_node(prior, selected, remaining, sigma2, metric):
             # margin does not vanish when the lowest estimate is 0
             margin = _SCREEN_RTOL * max(abs(best), size)
             near = [v for v in remaining if estimates[v] <= best + margin]
-            scores = [exact(v) for v in near]
+            scores = _exact_scores(prior, selected, near, sigma2, metric)
             if all(abs(s - estimates[v]) <= margin for v, s in zip(near, scores)):
                 return near[scores.index(min(scores))]
-    return min(remaining, key=exact)
+    scores = _exact_scores(prior, selected, remaining, sigma2, metric)
+    return remaining[scores.index(min(scores))]
 
 
 def greedy_select(prior, budget, sigma2, metric="trace"):
@@ -138,18 +203,29 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     selected so far gives every candidate's score in closed form
     (``trace``, and ``logdet`` while no direction has zero variance).
     The candidates within a relative 1e-8 of the lowest estimate, or of
-    the base score when that is larger, are then scored exactly, one
-    :func:`fuse` each, and the lowest exact score wins as above. If a
-    confirmed score misses its estimate by more than that margin, or
-    every estimate is ``inf``, the round scores every candidate exactly;
-    ``max_eig`` always does. Exact scores decide every winner, so the set
-    is the one that scoring every candidate exactly gives, unless an
-    unconfirmed candidate's exact score lies below its estimate by more
-    than the margin; no case checked so far does that.
+    the base score when that is larger, are then scored exactly, and the
+    lowest exact score wins as above. If a confirmed score misses its
+    estimate by more than that margin, or every estimate is ``inf``, the
+    round scores every candidate exactly; ``max_eig`` always does. Exact
+    scores decide every winner, so the set is the one that scoring every
+    candidate exactly gives, unless an unconfirmed candidate's exact score
+    lies below its estimate by more than the margin; no case checked so
+    far does that.
+
+    A round's exact scores are those of one :func:`fuse` per candidate,
+    bit for bit, but computed together: each candidate's projected
+    precision is built on the calling thread into stacks of at most
+    1 MiB, and each stack is eigendecomposed by one ``eigh`` call, on up
+    to one thread per core. ``eigh`` takes a stack one matrix at a time
+    and the scores are read in candidate order, so the bits and the set
+    do not depend on the thread count; the error a candidate's
+    :func:`fuse` would raise, such as an indefinite fused precision, is
+    raised, and no thread outlives the call.
     """
     n = prior.n
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
+    _require_metric(metric)
     selected = []
     remaining = list(range(n))
     for _ in range(budget):

@@ -469,6 +469,27 @@ class TestSolveMap:
         with pytest.raises(SolverDivergenceError, match="flat direction at iteration 2"):
             solve_map(belief, zero, "iterative")
 
+    @pytest.mark.parametrize("scale, sigma2", [(1e-8, 1e-4), (1e9, 0.3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_information_that_is_rounding_on_the_kernel_has_solution_zero(
+            self, scale, sigma2, seed):
+        # An exact 3-dim subspace prior whose basis vanishes at node 1, with
+        # one more direction seen at node 4: the data at node 1 reach the
+        # kernel only as rounding, which CG would meet along a flat
+        # direction, while closed form returns the minimum-norm mean
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((8, 3))
+        raw[1] = 0.0
+        raw[4, 1:] = 0.0
+        prior = subspace_prior(SubspaceBasis(np.linalg.qr(raw)[0]), sigma2_prior=0.0)
+        obs = partial_observation(SamplingOperator(n=8, nodes=(1, 4)),
+                                  np.array([scale, 0.0]), sigma2)
+        with pytest.warns(NonUniqueSolutionWarning):
+            closed = solve_map(prior, obs, "closed_form")
+        with pytest.warns(NonUniqueSolutionWarning):
+            iterative = solve_map(prior, obs, "iterative")
+        np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9 * scale)
+
     @pytest.mark.parametrize("info", [np.ones(3), np.zeros(3)], ids=["ones", "zeros"])
     @pytest.mark.parametrize("pinned", [False, True], ids=["vacuous", "pinned"])
     @pytest.mark.parametrize("method", ["fuse", "closed_form", "iterative"])

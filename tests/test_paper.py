@@ -25,6 +25,10 @@ oracle written without :func:`fuse`.
   at noise variance ``sigma2`` has mean ``(I + sigma2 L)^-1 y``, the
   minimizer of ``|x - y|^2 + sigma2 x' L x``, and covariance
   ``sigma2 (I + sigma2 L)^-1``.
+* Dense oracle: when the posterior is proper (``eps > 0``, or a noisy
+  sample in every connected component), the fused precision
+  ``P = L + eps I + S' S / sigma2`` is invertible, the mean is
+  ``P^-1 S' y / sigma2`` and the covariance ``P^-1``.
 * Monte Carlo rate: the squared error of one trial at a node with Bayes
   risk ``v`` is ``v`` times a chi-square variable with one degree of
   freedom, so the mean over T trials has standard deviation
@@ -251,6 +255,31 @@ def test_laplacian_regularized_denoising(n, edge_prob, sigma2, seed):
                                atol=1e-9 * np.abs(observed).max())
     np.testing.assert_allclose(posterior_covariance(summary), sigma2 * np.linalg.inv(filt),
                                rtol=0, atol=1e-9 * sigma2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.sampled_from([0.2, 0.5, 0.9]),
+       st.sampled_from([0.0, 0.05, 1.5]), st.sampled_from([0.01, 0.3, 2.0]),
+       st.sampled_from([1.0, 1e-6, 1e6]), st.integers(0, 2**32 - 1))
+def test_a_proper_posterior_is_the_dense_solve_and_inverse(n, edge_prob, eps, sigma2,
+                                                           scale, seed):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, n, edge_prob=edge_prob)
+    lap = laplacian(graph)
+    nodes = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+    if eps == 0.0:  # a sample in every component keeps the posterior proper
+        nodes |= {int(rng.choice(members)) for members in components(graph)}
+    op = SamplingOperator(n=n, nodes=tuple(sorted(nodes)))
+    observed = scale * rng.standard_normal(op.n_s)
+    summary = fuse(smoothness_prior(lap, eps), partial_observation(op, observed, sigma2))
+
+    selection = np.eye(n)[list(op.nodes)]
+    precision = lap + eps * np.eye(n) + selection.T @ selection / sigma2
+    mean = np.linalg.solve(precision, selection.T @ observed / sigma2)
+    cov = np.linalg.inv(precision)
+    assert summary.null_basis.shape[1] == 0 and summary.zero_basis.shape[1] == 0
+    assert np.linalg.norm(summary.mean - mean) <= 1e-9 * np.linalg.norm(mean)
+    assert np.linalg.norm(posterior_covariance(summary) - cov) <= 1e-9 * np.linalg.norm(cov)
 
 
 @pytest.mark.parametrize("sampling, sigma2", [((3, 8, 14, 21, 27), 0.5),

@@ -1,9 +1,16 @@
 """Covariance metrics and greedy sampling-set selection."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbayes import (
     GaussianBelief,
@@ -25,7 +32,7 @@ from graphbayes import (
     SubspaceBasis,
     subspace_prior,
 )
-from graphbayes import sampling_eval
+from graphbayes import _kernels, sampling_eval
 
 from helpers import (
     random_connected_graph,
@@ -248,6 +255,106 @@ class TestScreenedGreedy:
         greedy_select(prior, 3, sigma2, metric)
         # scoring every candidate takes 81 + 80 + 79 = 240 calls
         assert len(calls) <= limit
+
+
+@st.composite
+def scoring_rounds(draw):
+    """(prior, selected) of one greedy round on a small random graph: one
+    component or two, under a smoothness or an exact subspace prior."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = random_graph(rng, draw(st.integers(2, 9)))
+    else:
+        g = disjoint_union(random_connected_graph(rng, draw(st.integers(1, 5))),
+                           random_connected_graph(rng, draw(st.integers(1, 5))))
+    lap = laplacian(g)
+    if draw(st.booleans()):
+        prior = smoothness_prior(lap, draw(st.sampled_from([0.0, 1e-6, 0.5])))
+    else:
+        dim = draw(st.integers(1, g.n))
+        prior = subspace_prior(SubspaceBasis(spectral_decomposition(lap).vectors[:, :dim]),
+                               sigma2_prior=0.0)
+    selected = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n - 1))
+    return prior, selected
+
+
+class TestStackedExactScores:
+    """A round's exact scores come from stacked eigendecompositions on a
+    pool; every bit must be the one of a fuse per candidate."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(scoring_rounds(), st.sampled_from([0.0, 0.3, 2.0]),
+           st.sampled_from(sampling_eval.METRICS), st.integers(1, 3), st.integers(1, 4))
+    def test_scores_are_those_of_one_fuse_per_candidate(self, round_, sigma2, metric,
+                                                         cores, per_slice):
+        prior, selected = round_
+        candidates = [v for v in range(prior.n) if v not in selected]
+        expected = []
+        for v in candidates:
+            op = SamplingOperator(n=prior.n, nodes=tuple(selected + [v]))
+            summary = fuse(prior, partial_observation(op, np.zeros(op.n_s), sigma2))
+            expected.append(covariance_metric(summary, metric).hex())
+        with mock.patch.object(_kernels, "_cores", lambda: cores), \
+                mock.patch.object(sampling_eval, "_SLICE_BYTES", per_slice * 8 * prior.n**2):
+            scores = sampling_eval._exact_scores(prior, selected, candidates, sigma2, metric)
+        assert [float(s).hex() for s in scores] == expected
+
+    def test_no_pool_thread_outlives_greedy_select(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(_kernels, "_cores", lambda: 3)
+        monkeypatch.setattr(sampling_eval, "_SLICE_BYTES", 2 * 8 * 10**2)  # two matrices
+        prior = smoothness_prior(laplacian(two_component_graph()), 0.0)
+        before = threading.enumerate()
+        selection = greedy_select(prior, 3, 0.0, "max_eig")
+        assert threading.enumerate() == before
+        assert started  # each round ran on a pool
+        assert selection.nodes == reference_greedy(prior, 3, 0.0, "max_eig")
+
+        # node 1 lifts the negative curvature, every other node leaves it
+        indefinite = GaussianBelief(n=10, precision=np.diag([1.0, -1.0] + [2.0] * 8),
+                                    info=np.zeros(10))
+        with pytest.raises(ValueError, match="indefinite: curvature -1.000e\\+00"):
+            greedy_select(indefinite, 2, 0.3, "max_eig")
+        assert threading.enumerate() == before
+
+    def test_a_fuse_and_a_round_in_one_slice_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(_kernels, "_cores", lambda: 2)
+        prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
+        fuse(prior, partial_observation(SamplingOperator(n=81, nodes=(3,)), np.zeros(1), 1.0))
+        # exact scores of 1, 8 and 1 candidates: 19 matrices fit in a slice
+        assert greedy_select(prior, 3, 0.0, "trace").nodes == (16, 40, 65)
+        assert started == []
+        # 81 candidates take more than one slice, hence a pool
+        sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
+        assert started
+
+    def test_sample_select_on_an_8x8_grid_loads_no_thread_pool(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("".join(f"{i} {j}\n" for i, j in grid_graph(8, 8).edges))
+        code = (
+            "import sys\n"
+            "from graphbayes.cli import main\n"
+            f"main(['sample-select', {str(edges)!r}, '--budget', '4', '--sigma2', '1'])\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60,
+                       capture_output=True)
 
 
 class TestExhaustiveSelect:
