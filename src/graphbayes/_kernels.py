@@ -2,7 +2,8 @@
 
 The kernel draws its normals from the counter streams of :mod:`._rng` in
 fixed chunks of trials, so a fixed seed gives the same result bit for bit
-on every run.
+on every run. Its chunks, and greedy selection's stacked eigendecompositions,
+run through one ordered thread pool, :func:`map_in_order`.
 """
 
 from __future__ import annotations

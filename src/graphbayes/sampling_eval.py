@@ -134,7 +134,6 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     workers = max(1, min(_kernels._cores(), slices))
     # as many slices for each thread, of as many candidates each
     per_slice = -(-len(candidates) // (workers * -(-slices // workers)))
-    zero_counts = []
 
     def build():
         stack = None
@@ -145,25 +144,27 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
                 precision = kernel.T @ precision @ kernel
             m = precision.shape[0]
             if stack is not None and (count == per_slice or stack.shape[1] != m):
-                yield stack[:count], taus[:count]
+                yield stack[:count], taus[:count], zeros
                 stack = None
             if stack is None:
-                stack, taus, count = np.empty((per_slice, m, m)), np.empty(per_slice), 0
+                stack, taus, zeros, count = np.empty((per_slice, m, m)), np.empty(per_slice), [], 0
             _symmetrized(precision, out=stack[count])
             taus[count] = tau
-            zero_counts.append(zero_basis.shape[1])
+            zeros.append(zero_basis.shape[1])
             count += 1
         if stack is not None:
-            yield stack[:count], taus[:count]
+            yield stack[:count], taus[:count], zeros
 
     def split(task):
-        evals, _, finite = _eigen_split(*task)  # only numpy off the calling thread
-        return evals, finite
+        stack, taus, zeros = task
+        evals, _, finite = _eigen_split(stack, taus)  # only numpy off the calling thread
+        return evals, finite, zeros
 
-    spectra = [row for evals, finite in _kernels.map_in_order(split, build(), workers)
-               for row in zip(evals, finite)]
-    return [_metric_rule(1.0 / values[kept], np.count_nonzero(~kept), zero, metric)
-            for (values, kept), zero in zip(spectra, zero_counts)]
+    scores = []
+    for evals, finite, zeros in _kernels.map_in_order(split, build(), workers):
+        scores += [_metric_rule(1.0 / values[kept], np.count_nonzero(~kept), zero, metric)
+                   for values, kept, zero in zip(evals, finite, zeros)]
+    return scores
 
 
 def _next_node(prior, selected, remaining, sigma2, metric):

@@ -357,7 +357,7 @@ KERNEL_GOLDEN = [
         "0x1.8fe43b61ba835p+5", "0x1.1eceb225bd500p+5", "0x1.551af85de92d7p+5",
         "0x1.c1fc100e6db6fp+4", "0x1.4bf92105a7d51p+5", "0x1.63dad1f13b0e0p+4",
     ]),
-    # the same subset noise-free, 100 trials: one chunk on one pool thread
+    # the same subset noise-free, 100 trials: one chunk, on the calling thread
     (103, 100, SUBSET, 0.0, [
         "0x1.0e82c0dd5fc03p+4", "0x1.01ce47781c8cbp+5", "0x1.0d343a2202a34p+4",
         "0x1.d4fb32d17fcd2p+6", "0x1.914743aebbda6p+6", "0x1.57a49765243e0p+5",
