@@ -27,6 +27,7 @@ from .graph_core import (
     _require_symmetric,
     _sealed,
 )
+from .inference import RANK_TOL
 
 __all__ = [
     "GaussianBelief",
@@ -183,17 +184,16 @@ def smoothness_prior(lap, eps=0.0):
     return GaussianBelief(n=n, precision=precision, info=np.zeros(n))
 
 
-def bandlimit_basis(spectrum, bandlimit, tol=1e-9):
-    """Columns of the eigenbasis with eigenvalue at most ``bandlimit + tol``.
+def bandlimit_basis(spectrum, bandlimit):
+    """Columns of the eigenbasis with eigenvalue at most ``bandlimit``, up
+    to the rank rule's ``n RANK_TOL max|value|``, so in any units.
 
     Raises ``ValueError`` when no eigenvalue qualifies.
     """
-    tol = _as_scalar(tol, "tol")
-    mask = spectrum.values <= bandlimit + tol
+    cut = spectrum.n * RANK_TOL * float(np.abs(spectrum.values).max())
+    mask = spectrum.values <= bandlimit + cut
     if not np.any(mask):
-        raise ValueError(
-            f"no eigenvalues at or below bandlimit {bandlimit} (+{tol})"
-        )
+        raise ValueError(f"no eigenvalues at or below bandlimit {bandlimit} (+{cut:.3g})")
     return SubspaceBasis(basis=spectrum.vectors[:, mask])
 
 

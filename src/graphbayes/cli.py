@@ -189,19 +189,14 @@ def _graph_from_simulate_args(args):
     if args.graph_file is not None:
         return _load_graph(args.graph_file, args.one_based)
     if args.grid is not None:
-        parts = args.grid.lower().split("x")
-        if len(parts) != 2:
-            raise CliError(f"--grid expects WxH, got {args.grid!r}")
-        try:
-            width, height = int(parts[0]), int(parts[1])
+        try:  # a part count other than two raises ValueError on unpacking too
+            width, height = (int(part) for part in args.grid.lower().split("x"))
         except ValueError:
             raise CliError(f"--grid expects WxH, got {args.grid!r}") from None
         return grid_graph(width, height)
-    parts = args.rgg.split(",")
-    if len(parts) != 2:
-        raise CliError(f"--rgg expects n,radius, got {args.rgg!r}")
     try:
-        count, radius = int(parts[0]), float(parts[1])
+        count, radius = args.rgg.split(",")
+        count, radius = int(count), float(radius)
     except ValueError:
         raise CliError(f"--rgg expects n,radius, got {args.rgg!r}") from None
     return random_geometric_graph(count, radius, seed=args.seed)

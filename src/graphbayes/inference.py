@@ -50,14 +50,15 @@ __all__ = [
 # splits finite from infinite variance in fuse and conjugate gradient and
 # decides whether the iterative maximizer is unique (|P| is the largest
 # absolute row sum of the fused precision); it sets the rank of exact
-# constraints (|A| is the largest singular value) and of the sampled rows of
-# an orthonormal n x dim basis U (the rule on U itself, |U| = 1).
+# constraints (|A| the largest singular value), of the sampled rows of an
+# orthonormal n x dim basis U (|U| = 1) and bandlimit_basis's cut (|A| = max|λ|).
 RANK_TOL = float(np.finfo(np.float64).eps)
 
 # Tolerance on the component of a query direction inside the flat subspace.
 DIRECTION_TOL = 1e-8
 
 _CONSISTENCY_TOL = 1e-8
+_CG_RTOL = 1e-10  # relative residual at which conjugate gradient stops
 
 
 class InconsistentConstraintsError(ValueError):
@@ -293,9 +294,8 @@ def directional_uncertainty(summary, direction):
     if norm == 0:
         raise ValueError("direction must be a nonzero vector")
     unit = direction / norm
-    if summary.null_basis.shape[1]:
-        if np.linalg.norm(summary.null_basis.T @ unit) > DIRECTION_TOL:
-            return math.inf
+    if np.linalg.norm(summary.null_basis.T @ unit) > DIRECTION_TOL:
+        return math.inf
     coeffs = summary.cov_basis.T @ unit
     return float(summary.cov_values @ coeffs**2)
 
@@ -317,13 +317,16 @@ def spectral_uncertainty(summary, spectrum):
     coeffs = summary.cov_basis.T @ vectors
     np.square(coeffs, out=coeffs)
     variances = (summary.cov_values @ coeffs) / norms**2
-    if summary.null_basis.shape[1]:
-        null_mass = np.linalg.norm(summary.null_basis.T @ vectors, axis=0) / norms
-        variances[null_mass > DIRECTION_TOL] = math.inf
+    null_mass = np.linalg.norm(summary.null_basis.T @ vectors, axis=0) / norms
+    variances[null_mass > DIRECTION_TOL] = math.inf
     return variances
 
 
-def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
+def _cg_cap(unknowns):  # iterations after which conjugate gradient gives up
+    return max(10 * unknowns, 50)
+
+
+def _conjugate_gradient(apply_op, rhs, x0=None, tau=0.0):
     """CG for a symmetric PSD operator; minimum-norm solution from x0=0
     when the right-hand side lies in the operator's range. ``tau`` is the
     eigenvalue cut of :func:`fuse`: a curvature ``p'Ap / p'p`` below
@@ -333,12 +336,12 @@ def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
     once."""
     x = np.zeros_like(rhs) if x0 is None else x0.astype(np.float64).copy()
     r = rhs - apply_op(x)
-    target = rtol * max(np.linalg.norm(rhs), np.linalg.norm(r))
+    target = _CG_RTOL * max(np.linalg.norm(rhs), np.linalg.norm(r))
     if np.linalg.norm(r) <= target:
         return x
     p = r.copy()
     rs = float(r @ r)
-    for step in range(1, max_iter + 1):
+    for step in range(1, _cg_cap(rhs.shape[0]) + 1):
         ap = apply_op(p)
         p_ap, p_p = float(p @ ap), float(p @ p)
         if p_ap < -tau * p_p:
@@ -358,13 +361,13 @@ def _conjugate_gradient(apply_op, rhs, rtol, max_iter, x0=None, tau=0.0):
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise SolverDivergenceError(
-        f"conjugate gradient missed relative residual {rtol:.1e} "
-        f"after {max_iter} iterations "
+        f"conjugate gradient missed relative residual {_CG_RTOL:.1e} "
+        f"after {step} iterations "
         f"(residual {np.linalg.norm(rhs - apply_op(x)):.3e})"
     )
 
 
-def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=None):
+def solve_map(prior, observation, method="closed_form"):
     """Maximize the fused posterior density.
 
     ``closed_form`` goes through :func:`fuse`; ``iterative`` runs conjugate
@@ -375,7 +378,8 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
     maximizer non-unique (adding a small ridge to the prior restores
     uniqueness), and both raise ``ValueError`` on an indefinite fused
     precision. The iterative path raises :class:`SolverDivergenceError`
-    with the iteration count if it cannot reach ``rtol``.
+    with the iteration count if it misses a relative residual of 1e-10
+    after ``max(10 k, 50)`` iterations, ``k`` the kernel's dimension.
 
     The iterative path tells a unique maximizer from a non-unique one with
     the cut of :func:`fuse`: it runs CG on ``A d = 0`` from a seeded random
@@ -408,8 +412,6 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
                 return kernel.T @ (precision @ (kernel @ y))
 
         free = rhs.shape[0]
-        if max_iter is None:
-            max_iter = max(10 * free, 50)
         # rounding of the right-hand side h - P particular, restricted: one
         # at most this is noise, whose solution is 0
         floor = (particular.shape[0] * RANK_TOL * np.linalg.norm(prior.info + observation.info)
@@ -417,15 +419,14 @@ def solve_map(prior, observation, method="closed_form", rtol=1e-10, max_iter=Non
         if np.linalg.norm(rhs) <= floor:
             solution = np.zeros(free)
         else:
-            solution = _conjugate_gradient(apply_op, rhs, rtol, max_iter, tau=tau)
+            solution = _conjugate_gradient(apply_op, rhs, tau=tau)
         # Flat directions are invisible to CG started at zero. Solving
         # A d = 0 from a seeded random point removes the start's component
         # in the range of A and leaves its flat part untouched; the
         # curvature of d tells that flat part from forward error. The data
         # never enter, so neither do their units.
         probe_start = np.random.default_rng(0x5EED).standard_normal(free)
-        gap = _conjugate_gradient(apply_op, np.zeros(free), rtol, max_iter,
-                                  x0=probe_start, tau=tau)
+        gap = _conjugate_gradient(apply_op, np.zeros(free), x0=probe_start, tau=tau)
         gap_sq = float(gap @ gap)
         unique = gap_sq == 0.0 or float(gap @ apply_op(gap)) > tau * gap_sq
         mean = particular + (solution if kernel is None else kernel @ solution)

@@ -1,4 +1,6 @@
-"""Shared graph builders for the test-suite."""
+"""Shared graph builders, referees and fakes for the test-suite."""
+
+import os
 
 import numpy as np
 
@@ -73,3 +75,10 @@ def reference_greedy(prior, budget, sigma2, metric="trace"):
         selected.append(best_node)
         remaining.remove(best_node)
     return tuple(sorted(selected))
+
+
+def fake_physical_memory(monkeypatch, nbytes):
+    """Make ``os.sysconf`` report ``nbytes`` of physical memory, in 4 KiB
+    pages, so that a memory guard can be tested without allocating."""
+    real, pages = os.sysconf, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else real(name))

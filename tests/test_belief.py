@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphbayes import (
     GaussianBelief,
     SamplingOperator,
+    Spectrum,
     SubspaceBasis,
     bandlimit_basis,
     full_observation,
@@ -53,7 +56,7 @@ class TestSmoothnessPrior:
 class TestBandlimitBasis:
     def test_single_edge_dc_component(self):
         spec = spectral_decomposition(p2_laplacian())
-        basis = bandlimit_basis(spec, 0.0, tol=1e-9)
+        basis = bandlimit_basis(spec, 0.0)
         np.testing.assert_allclose(basis.basis[:, 0], [INV_SQRT2, INV_SQRT2], atol=1e-12)
         assert basis.dim == 1
 
@@ -61,19 +64,31 @@ class TestBandlimitBasis:
         rng = np.random.default_rng(23)
         g = random_graph(rng, 8)
         spec = spectral_decomposition(laplacian(g))
-        basis = bandlimit_basis(spec, float(spec.values[-1]), tol=1e-9)
+        basis = bandlimit_basis(spec, float(spec.values[-1]))
         assert basis.dim == 8
 
     def test_path3_keeps_two_lowest_modes(self):
         spec = spectral_decomposition(laplacian(path_graph(3)))
-        basis = bandlimit_basis(spec, 1.5, tol=0.0)
+        basis = bandlimit_basis(spec, 1.5)
         assert basis.dim == 2
         np.testing.assert_allclose(basis.basis, spec.vectors[:, :2], atol=0)
 
     def test_empty_selection_rejected(self):
         spec = spectral_decomposition(p2_laplacian())
         with pytest.raises(ValueError, match="no eigenvalues"):
-            bandlimit_basis(spec, -1.0, tol=0.0)
+            bandlimit_basis(spec, -1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.floats(-12.0, 12.0))
+    @example(exponent=-10.0)
+    def test_same_columns_in_any_units(self, exponent):
+        # scaling a spectrum and its bandlimit together moves no eigenvalue
+        # across the cut; at 1e-10 an absolute cut of 1e-9 keeps all 16 columns
+        spec = spectral_decomposition(laplacian(grid_graph(4, 4)))
+        scale = 10.0 ** exponent
+        scaled = Spectrum(vectors=spec.vectors, values=spec.values * scale)
+        basis = bandlimit_basis(scaled, 0.6 * scale)
+        np.testing.assert_array_equal(basis.basis, spec.vectors[:, :3])
 
 
 class TestSubspacePrior:
@@ -150,7 +165,6 @@ def _subspace_prior_of_ones(**kwargs):
 # each scalar parameter, by the name its error message gives, and a call taking it
 SCALAR_CALLS = [
     ("eps", lambda v: smoothness_prior(p2_laplacian(), v)),
-    ("tol", lambda v: bandlimit_basis(spectral_decomposition(p2_laplacian()), 0.0, tol=v)),
     ("sigma2_prior", lambda v: _subspace_prior_of_ones(sigma2_prior=v)),
     ("eps", lambda v: _subspace_prior_of_ones(sigma2_prior=1.0, eps=v)),
     ("sigma2", lambda v: partial_observation(SamplingOperator(n=2, nodes=(0,)), np.ones(1), v)),

@@ -5,6 +5,8 @@ import pytest
 
 from graphbayes.cli import main
 
+from helpers import fake_physical_memory
+
 
 @pytest.fixture
 def p2_files(tmp_path):
@@ -199,6 +201,20 @@ class TestUncertainty:
         assert out == ""
         assert err.startswith("error: ")
         assert "1000000" in err
+
+    def test_node_count_whose_dense_peak_exceeds_memory_exits_one(
+            self, capsys, monkeypatch, tmp_path):
+        # one 1000 x 1000 array fits in the faked 40 MB; the dense path's peak does not
+        fake_physical_memory(monkeypatch, 40 * 10**6)
+        graph = tmp_path / "big.edges"
+        graph.write_text("# n=1000\n0 1\n")
+        code, out, err = run_cli(
+            capsys,
+            ["uncertainty", str(graph), "--sigma2", "1", "--direction", "node:0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the dense path for n=1000 nodes needs 0.1 GiB, more than")
 
 
 class TestSimulate:

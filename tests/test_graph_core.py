@@ -21,7 +21,7 @@ from graphbayes import (
 )
 from graphbayes.graph_core import _is_sealed
 
-from helpers import random_graph
+from helpers import fake_physical_memory, random_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -139,6 +139,14 @@ class TestLaplacian:
     def test_size_beyond_physical_memory_is_refused_before_allocating(self):
         with pytest.raises(ValueError, match="n=1000000 nodes"):
             laplacian(Graph.from_edges(10**6, [(0, 1)]))
+
+    def test_size_whose_dense_peak_exceeds_memory_is_refused(self, monkeypatch):
+        # one 1000 x 1000 array is 8 MB and fits in 40 MB; the ten arrays the
+        # dense path holds at its peak do not
+        fake_physical_memory(monkeypatch, 40 * 10**6)
+        with pytest.raises(ValueError, match="n=1000 nodes needs 0.1 GiB, more than"):
+            laplacian(Graph.from_edges(1000, [(0, 1)]))
+        assert laplacian(Graph.from_edges(700, [(0, 1)])).shape == (700, 700)
 
     def test_output_is_read_only(self):
         lap = laplacian(path_graph(3))
