@@ -78,6 +78,14 @@ class TestBandlimitBasis:
         with pytest.raises(ValueError, match="no eigenvalues"):
             bandlimit_basis(spec, -1.0)
 
+    def test_cut_is_the_rank_rule_above_the_bandlimit(self):
+        # n RANK_TOL max|value| = 20 ulp of 1 here: an eigenvalue 10 ulp above
+        # the bandlimit is the bandlimit's own, one 40 ulp above is not
+        ulp = np.finfo(np.float64).eps
+        values = np.array([0.0, 1.0, 1.0 + 10 * ulp, 1.0 + 40 * ulp, 4.0])
+        basis = bandlimit_basis(Spectrum(vectors=np.eye(5), values=values), 1.0)
+        np.testing.assert_array_equal(basis.basis, np.eye(5)[:, :3])
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(exponent=st.floats(-12.0, 12.0))
     @example(exponent=-10.0)

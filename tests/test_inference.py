@@ -460,6 +460,9 @@ class TestSolveMap:
         with pytest.raises(SolverDivergenceError, match="after 1 iterations"):
             solve_map(prior, obs, "iterative")
 
+    def test_iteration_cap_is_ten_per_unknown_and_at_least_fifty(self):
+        assert [inference._cg_cap(k) for k in (1, 5, 6, 100)] == [50, 50, 60, 1000]
+
     def test_information_off_the_range_stops_cg_on_a_flat_direction(self):
         # info has a component along the flat second coordinate: closed form
         # drops it (pseudo-inverse mean), CG meets the flat direction
