@@ -24,7 +24,18 @@ quartiles of every metric over the runs with a result. With two
 checkouts it also counts, among the seeds where both have a result, those
 on which the second checkout is better, in the direction (``better``:
 ``lower`` or ``higher``) that ``BENCHMARK.json`` declares for the metric,
-and, separately, those on which the two are tied.
+and, separately, those on which the two are tied, then gives a verdict
+for each ``end_to_end`` metric:
+
+- ``gain``: the second checkout is better on at least 9 of 10 pairs (ties
+  count for neither side), and its median beats the first's by more than
+  the first checkout's interquartile range;
+- ``worse``: the second checkout's median is worse than the first's by
+  more than the metric's relative ``bound``;
+- ``unresolved``: the first checkout's interquartile range exceeds
+  ``bound`` times its median, and not every run of the second checkout
+  beats every run of the first;
+- ``level``: otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
     _BENCHMARK = json.load(_handle)
 RUN_SECONDS = _BENCHMARK["run_seconds"]
 BETTER = {m["name"]: m["better"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK["per_layer"]}
+BOUND = {m["name"]: m["bound"] for m in _BENCHMARK["end_to_end"]}
 
 
 def _git(checkout, *args):
@@ -82,6 +94,29 @@ def _append(entries):
     os.replace(tmp, BENCH_PATH)
 
 
+def _quartiles(values):
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def _verdict(first, second, wins, pairs, better, bound):
+    """The verdict on ``second`` against ``first``, the values of one metric
+    in each checkout, the second being better on ``wins`` of ``pairs``
+    seeds."""
+    sign = 1 if better == "higher" else -1
+    median = statistics.median(first)
+    gain = sign * (statistics.median(second) - median)
+    q1, _, q3 = _quartiles(first)
+    if pairs and 10 * wins >= 9 * pairs and gain > q3 - q1:
+        return "gain"
+    if gain < -bound * abs(median):
+        return "worse"
+    # every run of the second checkout beats every run of the first
+    separated = min(sign * v for v in second) > max(sign * v for v in first)
+    if q3 - q1 > bound * abs(median) and not separated:
+        return "unresolved"
+    return "level"
+
+
 def _summary(entries, checkouts):
     for workload in dict.fromkeys(e["workload"] for e in entries):
         runs = {c: {e["seed"]: e["result"]["metrics"] for e in entries
@@ -89,13 +124,14 @@ def _summary(entries, checkouts):
                 for c in checkouts}
         names = dict.fromkeys(name for r in runs.values() for m in r.values() for name in m)
         for name in names:
+            values = {c: [m[name]["value"] for m in runs[c].values() if name in m]
+                      for c in checkouts}
             for c in checkouts:
-                values = [m[name]["value"] for m in runs[c].values() if name in m]
-                if not values:
+                if not values[c]:
                     continue
-                q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-                print(f"{workload:10s} {name:36s} {c}: median {statistics.median(values):.6g} "
-                      f"quartiles {q[0]:.6g} {q[2]:.6g} ({len(values)} runs)")
+                q = _quartiles(values[c])
+                print(f"{workload:10s} {name:36s} {c}: median {statistics.median(values[c]):.6g} "
+                      f"quartiles {q[0]:.6g} {q[2]:.6g} ({len(values[c])} runs)")
             if len(checkouts) == 2:
                 first, second = (runs[c] for c in checkouts)
                 pairs = [(first[s][name]["value"], second[s][name]["value"]) for s in first
@@ -105,6 +141,10 @@ def _summary(entries, checkouts):
                 ties = sum(a == b for a, b in pairs)
                 print(f"{workload:10s} {name:36s} better ({BETTER[name]}) in the second "
                       f"checkout on {wins} of {len(pairs)} seeds, tied on {ties}")
+                if name in BOUND and all(values.values()):
+                    verdict = _verdict(*values.values(), wins, len(pairs), BETTER[name],
+                                       BOUND[name])
+                    print(f"{workload:10s} {name:36s} verdict: {verdict}")
 
 
 def main():

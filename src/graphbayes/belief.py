@@ -27,7 +27,7 @@ from .graph_core import (
     _require_symmetric,
     _sealed,
 )
-from .inference import RANK_TOL
+from .inference import RANK_TOL, _symmetrized
 
 __all__ = [
     "GaussianBelief",
@@ -214,7 +214,7 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
     n = subspace.n
     if sigma2_prior > 0:
         prec = ((1.0 + eps) * np.eye(n) - u @ u.T) / sigma2_prior
-        prec = 0.5 * (prec + prec.T)
+        _symmetrized(prec, out=prec)
         return GaussianBelief(n=n, precision=prec, info=np.zeros(n))
     # the columns of u are orthonormal, so u.T has rank subspace.dim
     complement = np.linalg.svd(u.T)[2][subspace.dim:]

@@ -23,13 +23,13 @@ import numpy as np
 from .belief import (
     SamplingOperator,
     bandlimit_basis,
-    full_observation,
     partial_observation,
     smoothness_prior,
     subspace_prior,
 )
 from .graph_core import (
     GraphFormatError,
+    _require_dense_fits,
     grid_graph,
     laplacian,
     load_edge_list,
@@ -43,7 +43,7 @@ from .inference import (
     fuse,
     node_variances,
 )
-from .sampling_eval import covariance_metric, greedy_select
+from .sampling_eval import _posterior, covariance_metric, greedy_select
 from .simulate import ExperimentConfig, _fmt, render_report_csv, run_calibration
 
 _METRIC_FLAGS = {"trace": "trace", "logdet": "logdet", "maxeig": "max_eig"}
@@ -113,10 +113,7 @@ def _cmd_estimate(args):
     sigma2 = 0.0 if args.noise_free else args.sigma2
 
     nodes = _parse_nodes(args.nodes, graph.n)
-    try:
-        operator = SamplingOperator(n=graph.n, nodes=nodes)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    operator = SamplingOperator(n=graph.n, nodes=nodes)
     missing = [v for v in nodes if v not in values]
     if missing:
         raise CliError(f"signal file lacks values for nodes {missing}")
@@ -175,8 +172,7 @@ def _cmd_uncertainty(args):
     graph = _load_graph(args.graph_file, args.one_based)
     lap = laplacian(graph)
     direction = _parse_direction(args.direction, graph, lap)
-    prior = smoothness_prior(lap, args.eps)
-    summary = fuse(prior, full_observation(np.zeros(graph.n), args.sigma2))
+    summary = _posterior(smoothness_prior(lap, args.eps), range(graph.n), args.sigma2)
     value = directional_uncertainty(summary, direction)
     sys.stdout.write(_fmt(value) + "\n")
     return 0
@@ -193,12 +189,16 @@ def _graph_from_simulate_args(args):
             width, height = (int(part) for part in args.grid.lower().split("x"))
         except ValueError:
             raise CliError(f"--grid expects WxH, got {args.grid!r}") from None
+        # refused from the node count before any edge is built; a size
+        # below one goes on to the generator's own error
+        _require_dense_fits(max(width, 0) * max(height, 0))
         return grid_graph(width, height)
     try:
         count, radius = args.rgg.split(",")
         count, radius = int(count), float(radius)
     except ValueError:
         raise CliError(f"--rgg expects n,radius, got {args.rgg!r}") from None
+    _require_dense_fits(max(count, 0))
     return random_geometric_graph(count, radius, seed=args.seed)
 
 
@@ -221,11 +221,7 @@ def _cmd_sample_select(args):
     prior = smoothness_prior(laplacian(graph), args.eps)
     metric = _METRIC_FLAGS[args.metric]
     selection = greedy_select(prior, args.budget, args.sigma2, metric)
-    final = fuse(
-        prior,
-        partial_observation(selection, np.zeros(selection.n_s), args.sigma2),
-    )
-    value = covariance_metric(final, metric)
+    value = covariance_metric(_posterior(prior, selection.nodes, args.sigma2), metric)
     sys.stdout.write(" ".join(str(v) for v in selection.nodes) + "\n")
     sys.stdout.write(_fmt(value) + "\n")
     return 0

@@ -213,6 +213,18 @@ def _require_orthonormal(basis, name="basis"):
         raise ValueError(f"{name} columns not orthonormal (defect {defect:.2e})")
 
 
+def _require_dense_fits(n):
+    """Raise ``ValueError`` naming n when the dense path's peak of ten
+    n x n arrays would exceed physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # fuse's eigh holds eight n x n arrays: the caller's Laplacian and eigenvectors,
+    # the prior's precision, the projected precision, and eigh's input copy, two-array
+    # workspace and output. Peak RSS measured 7.6 (denoise) and 9.7 (calibrate), so ten.
+    if 10 * 8 * n * n > physical:
+        raise ValueError(f"the dense path for n={n} nodes needs {10 * 8 * n * n / 2**30:.1f} GiB, "
+                         f"more than the {physical / 2**30:.1f} GiB of physical memory")
+
+
 def laplacian(graph):
     """Combinatorial Laplacian ``degree - adjacency`` as a dense array.
 
@@ -222,13 +234,7 @@ def laplacian(graph):
     dense path's peak of ten n x n arrays would exceed physical memory.
     """
     n = graph.n
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # fuse's eigh holds eight n x n arrays: the caller's Laplacian and eigenvectors,
-    # the prior's precision, the projected precision, and eigh's input copy, two-array
-    # workspace and output. Peak RSS measured 7.6 (denoise) and 9.7 (calibrate), so ten.
-    if 10 * 8 * n * n > physical:
-        raise ValueError(f"the dense path for n={n} nodes needs {10 * 8 * n * n / 2**30:.1f} GiB, "
-                         f"more than the {physical / 2**30:.1f} GiB of physical memory")
+    _require_dense_fits(n)
     i, j = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
     lap = np.zeros((n, n))
     lap[i, j] = -1.0

@@ -266,7 +266,7 @@ def posterior_covariance(summary):
             "query them directionally instead"
         )
     cov = summary.cov_basis @ (summary.cov_values[:, None] * summary.cov_basis.T)
-    return 0.5 * (cov + cov.T)
+    return _symmetrized(cov, out=cov)
 
 
 def _flat_nodes(summary):

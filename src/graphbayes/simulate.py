@@ -142,12 +142,8 @@ def run_calibration(config):
     lap = laplacian(graph)
     spectrum = spectral_decomposition(lap)
     prior = smoothness_prior(lap, config.eps)
-
-    if config.sampling is None:
-        operator = SamplingOperator.all_nodes(graph.n)
-    else:
-        operator = SamplingOperator(n=graph.n, nodes=config.sampling)
-
+    operator = SamplingOperator(
+        n=graph.n, nodes=range(graph.n) if config.sampling is None else config.sampling)
     zero_obs = partial_observation(operator, np.zeros(operator.n_s), config.sigma2)
     summary = fuse(prior, zero_obs)
     variance = node_variances(summary)

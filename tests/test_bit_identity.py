@@ -19,11 +19,13 @@ from graphbayes import (
     Graph,
     SamplingOperator,
     bandlimit_basis,
+    full_observation,
     fuse,
     grid_graph,
     greedy_select,
     laplacian,
     partial_observation,
+    posterior_covariance,
     smoothness_prior,
     solve_map,
     spectral_decomposition,
@@ -141,6 +143,20 @@ def test_noise_free_estimator_matrix_is_unchanged(width, nodes, expected):
     operator = SamplingOperator(n=4 * width, nodes=nodes)
     summary = fuse(prior, partial_observation(operator, np.zeros(len(nodes)), 0.0))
     assert _digest(_estimator_matrix(prior, operator, 0.0, summary)) == expected
+
+
+def test_relaxed_subspace_prior_precision_is_unchanged():
+    spectrum = spectral_decomposition(laplacian(grid_graph(6, 6)))
+    prior = subspace_prior(bandlimit_basis(spectrum, 1.0), sigma2_prior=0.5, eps=0.1)
+    assert _digest(prior.precision) == (
+        "da13d8eaf89a4b35fb7a6c788ce663aec4c7422491b4f0b324e99187b146604f")
+
+
+def test_posterior_covariance_is_unchanged():
+    prior = smoothness_prior(laplacian(grid_graph(5, 4)), 0.1)
+    summary = fuse(prior, full_observation(np.zeros(20), 0.5))
+    assert _digest(posterior_covariance(summary)) == (
+        "ce6afa384d21741ebdcd9ea72c82db22bbe687bc355be16dcca9ff911772dbf4")
 
 
 def test_grid_laplacian_is_unchanged():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphbayes import cli
 from graphbayes.cli import main
 
 from helpers import fake_physical_memory
@@ -266,6 +267,24 @@ class TestSimulate:
         assert code == 1
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("source, n", [(["--grid", "400x400"], 160000),
+                                           (["--rgg", "1000,0.1"], 1000)])
+    def test_oversized_generated_graph_is_refused_before_it_is_built(
+            self, capsys, monkeypatch, source, n):
+        # ten 1000 x 1000 arrays exceed the faked 40 MB, so no generator may run
+        fake_physical_memory(monkeypatch, 40 * 10**6)
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("graph generated before its size was checked")
+
+        monkeypatch.setattr(cli, "grid_graph", unbuilt)
+        monkeypatch.setattr(cli, "random_geometric_graph", unbuilt)
+        code, out, err = run_cli(
+            capsys, ["simulate", *source, "--sigma2", "1", "--eps", "1", "--trials", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: the dense path for n={n} nodes needs ")
+
 
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("argv, name", [
@@ -427,6 +446,16 @@ class TestErrorPaths:
         (["simulate", "--rgg", "twelve,0.5", "--sigma2", "1", "--eps", "1e-4",
           "--trials", "10"],
          "--rgg expects n,radius, got 'twelve,0.5'"),
+        # sizes below one reach the generators' errors, not the memory check
+        (["simulate", "--grid", "0x5", "--sigma2", "1", "--eps", "1", "--trials", "1"],
+         "grid dimensions must be positive"),
+        (["simulate", "--grid", "-100000x-100000", "--sigma2", "1", "--eps", "1",
+          "--trials", "1"],
+         "grid dimensions must be positive"),
+        (["simulate", "--rgg", "0,0.5", "--sigma2", "1", "--eps", "1", "--trials", "1"],
+         "need at least one node"),
+        (["simulate", "--rgg", "-100000,0.5", "--sigma2", "1", "--eps", "1", "--trials", "1"],
+         "need at least one node"),
     ])
     def test_exit_one_with_the_message(self, capsys, tmp_path, p2_files, argv, message):
         graph, signal = p2_files
