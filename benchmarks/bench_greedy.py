@@ -32,7 +32,7 @@ import statistics
 import subprocess
 import sys
 
-from record import _git
+from record import _append, _git
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_greedy.json")
@@ -113,13 +113,7 @@ def main():
                   f"{entry['exact_scores']} exact scores, {entry['fuse_calls']} fuse calls, "
                   f"set {tuple(entry['nodes'])}", flush=True)
 
-    recorded = []
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH, encoding="utf-8") as handle:
-            recorded = json.load(handle)
-    with open(BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(recorded + entries, handle, indent=1)
-        handle.write("\n")
+    _append(BENCH_PATH, entries)
     return 0
 
 

@@ -82,16 +82,18 @@ def _run(checkout, workload, seed, trace):
     return dict(entry, result=result, environment=environment)
 
 
-def _append(entries):
+def _append(path, entries):
+    """Append ``entries`` to the JSON list at ``path`` through a temporary
+    file, so that a run stopped mid-write leaves the recorded list whole."""
     recorded = []
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH, encoding="utf-8") as handle:
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
             recorded = json.load(handle)
-    tmp = BENCH_PATH + ".tmp"
+    tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(recorded + entries, handle, indent=1)
         handle.write("\n")
-    os.replace(tmp, BENCH_PATH)
+    os.replace(tmp, path)
 
 
 def _quartiles(values):
@@ -165,7 +167,7 @@ def main():
         for k, seed in enumerate(args.seeds):
             for checkout in checkouts[::-1] if k % 2 else checkouts:
                 entry = _run(checkout, workload, seed, args.trace)
-                _append([entry])
+                _append(BENCH_PATH, [entry])
                 entries.append(dict(entry, checkout=checkout))
                 shown = (json.dumps(entry["result"]) if entry["result"]
                          else f"no result, exit {entry['exit_code']}")

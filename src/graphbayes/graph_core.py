@@ -177,10 +177,12 @@ def _is_sealed(arr):
 
 def _frozen(arr):
     """``arr`` as a read-only float64 array: one the library sealed itself is
-    kept, since nothing else can change it; any other is copied."""
+    kept, since nothing else can change it; any other is copied in C order
+    whatever its source (eigh returns Fortran-ordered vectors), since the
+    layout decides how later products with the array round."""
     if isinstance(arr, np.ndarray) and _is_sealed(arr):
         return arr
-    return _sealed(np.array(arr, dtype=np.float64))
+    return _sealed(np.array(arr, dtype=np.float64, order="C"))
 
 
 def _require_square(mat, name="matrix"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import _as_signal, _frozen, _sealed
+from .graph_core import _as_signal, _frozen
 
 __all__ = [
     "PosteriorSummary",
@@ -104,12 +104,6 @@ class PosteriorSummary:
     @property
     def unique_mean(self):
         return self.null_basis.shape[1] == 0
-
-
-def _freeze(arr):
-    # C order whatever the source (eigh returns Fortran-ordered vectors):
-    # the layout decides how later products with the array round
-    return _sealed(np.array(arr, dtype=np.float64, order="C"))
 
 
 def _rank(svals, size, scale):
@@ -202,6 +196,27 @@ def _eigen_split(symmetric, tau):
     return evals, evecs, evals > cut
 
 
+def _projected(prior, observation):
+    """:func:`_restrict` with the fused precision projected onto the
+    constraint kernel, ``kernel.T @ P @ kernel`` (``P`` itself without
+    constraints), and symmetrized: the matrix whose spectrum splits the
+    posterior, for :func:`fuse` and for greedy selection's exact scores."""
+    precision, kernel, *rest = _restrict(prior, observation)
+    if kernel is not None:
+        precision = kernel.T @ precision @ kernel
+    return (_symmetrized(precision), kernel, *rest)
+
+
+def _lift(kernel, coords):
+    """``kernel @ coords``: kernel coordinates as signals. Without a kernel
+    (the whole space) ``coords`` itself, a new array that the caller hands
+    over, with -0.0 made +0.0 in place as the product with an identity
+    kernel would."""
+    if kernel is None:
+        return np.add(coords, 0.0, out=coords)
+    return kernel @ coords
+
+
 def fuse(prior, observation):
     """Fuse two beliefs and summarize the resulting posterior.
 
@@ -221,30 +236,16 @@ def fuse(prior, observation):
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
     directly, with no projection through an identity kernel.
     """
-    precision, kernel, zero_basis, particular, g, tau = _restrict(prior, observation)
-    if kernel is not None:
-        precision = kernel.T @ precision @ kernel
-    projected = _symmetrized(precision)
-    del precision  # not needed past here: free it before eigh
+    projected, kernel, zero_basis, particular, g, tau = _projected(prior, observation)
     evals, evecs, finite = _eigen_split(projected, tau)
-
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
-    if kernel is None:
-        # -0.0 -> +0.0, in place, as the product with an identity kernel did
-        np.add(evecs, 0.0, out=evecs)
-        mean = particular + y
-        cov_basis, null_basis = evecs[:, finite], evecs[:, ~finite]
-    else:
-        mean = particular + kernel @ y
-        cov_basis, null_basis = kernel @ evecs[:, finite], kernel @ evecs[:, ~finite]
-
     return PosteriorSummary(
-        mean=_freeze(mean),
-        cov_basis=_freeze(cov_basis),
-        cov_values=_freeze(1.0 / evals[finite]),
-        null_basis=_freeze(null_basis),
-        zero_basis=_freeze(zero_basis),
+        mean=particular + _lift(kernel, y),
+        cov_basis=_lift(kernel, evecs[:, finite]),
+        cov_values=1.0 / evals[finite],
+        null_basis=_lift(kernel, evecs[:, ~finite]),
+        zero_basis=zero_basis,
     )
 
 
@@ -282,37 +283,14 @@ def node_variances(summary):
     return np.where(_flat_nodes(summary), math.inf, finite)
 
 
-def directional_uncertainty(summary, direction):
-    """Posterior variance along a direction (normalized internally).
-
-    Returns ``math.inf`` when the direction has a component inside the flat
-    subspace beyond ``DIRECTION_TOL``; returns 0 for directions fixed by
-    constraints.
-    """
-    direction = _as_signal(direction, summary.n, name="direction")
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
-    unit = direction / norm
-    if np.linalg.norm(summary.null_basis.T @ unit) > DIRECTION_TOL:
-        return math.inf
-    coeffs = summary.cov_basis.T @ unit
-    return float(summary.cov_values @ coeffs**2)
-
-
-def spectral_uncertainty(summary, spectrum):
-    """Variance along each eigenbasis direction, as a length-n vector.
-
-    Under a smoothness prior with a full noisy observation the i-th entry
-    equals ``1 / (1/sigma2 + value_i)``. The entries are those of
-    :func:`directional_uncertainty` on each eigenvector, up to rounding,
-    taken in one batch: the finite variances from one product of
-    ``cov_basis.T`` with the whole eigenvector matrix, and the ``inf``
-    entries from the column norms of ``null_basis.T`` times that matrix.
-    """
-    if spectrum.n != summary.n:
-        raise ValueError("spectrum dimension does not match posterior")
-    vectors = spectrum.vectors
+def _variances_along(summary, vectors):
+    """Posterior variance along each column of ``vectors``; ``inf`` where
+    the normalized column has a component beyond ``DIRECTION_TOL`` inside
+    the flat subspace. Each column is first scaled by the power of two that
+    brings its largest |entry| into [1/2, 1): exact, so the result does not
+    depend on the column's scale, and no norm overflows or underflows."""
+    peak = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
+    vectors = np.ldexp(vectors, -np.frexp(peak)[1])
     norms = np.linalg.norm(vectors, axis=0)
     coeffs = summary.cov_basis.T @ vectors
     np.square(coeffs, out=coeffs)
@@ -320,6 +298,32 @@ def spectral_uncertainty(summary, spectrum):
     null_mass = np.linalg.norm(summary.null_basis.T @ vectors, axis=0) / norms
     variances[null_mass > DIRECTION_TOL] = math.inf
     return variances
+
+
+def directional_uncertainty(summary, direction):
+    """Posterior variance along a direction, whatever its scale.
+
+    Returns ``math.inf`` when the normalized direction has a component
+    inside the flat subspace beyond ``DIRECTION_TOL``; returns 0 for
+    directions fixed by constraints.
+    """
+    direction = _as_signal(direction, summary.n, name="direction")
+    if not direction.any():
+        raise ValueError("direction must be a nonzero vector")
+    return float(_variances_along(summary, direction[:, None])[0])
+
+
+def spectral_uncertainty(summary, spectrum):
+    """Variance along each eigenbasis direction, as a length-n vector.
+
+    Under a smoothness prior with a full noisy observation the i-th entry
+    equals ``1 / (1/sigma2 + value_i)``. It is the rule of
+    :func:`directional_uncertainty` applied to every eigenvector in one
+    batch, so the two agree up to the rounding of the batched products.
+    """
+    if spectrum.n != summary.n:
+        raise ValueError("spectrum dimension does not match posterior")
+    return _variances_along(summary, spectrum.vectors)
 
 
 def _cg_cap(unknowns):  # iterations after which conjugate gradient gives up
@@ -429,7 +433,7 @@ def solve_map(prior, observation, method="closed_form"):
         gap = _conjugate_gradient(apply_op, np.zeros(free), x0=probe_start, tau=tau)
         gap_sq = float(gap @ gap)
         unique = gap_sq == 0.0 or float(gap @ apply_op(gap)) > tau * gap_sq
-        mean = particular + (solution if kernel is None else kernel @ solution)
+        mean = particular + _lift(kernel, solution)
     else:
         raise ValueError(f"unknown method {method!r}")
     if not unique:

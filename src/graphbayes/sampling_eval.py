@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .belief import SamplingOperator, partial_observation
-from .inference import _eigen_split, _flat_nodes, _restrict, _symmetrized, fuse
+from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select", "exhaustive_select"]
 
@@ -121,12 +121,12 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     """``_score(prior, selected + [v], sigma2, metric)`` for each ``v`` of
     ``candidates``, bit for bit, from stacked eigendecompositions.
 
-    On the calling thread, each candidate's beliefs are fused and restricted
-    to their constraint kernel, projected and symmetrized as :func:`fuse`
-    does, into slices of at most ``_SLICE_BYTES``. Each slice goes to
-    :func:`_eigen_split` whole, on up to one thread per core, in about the
-    same number of slices per thread; ``eigh`` takes a stack one matrix at
-    a time, so neither the slicing nor the thread count moves a bit.
+    On the calling thread, each candidate's projected precision, the matrix
+    :func:`fuse` eigendecomposes, is copied into slices of at most
+    ``_SLICE_BYTES``. Each slice goes to :func:`_eigen_split` whole, on up
+    to one thread per core, in about the same number of slices per thread;
+    ``eigh`` takes a stack one matrix at a time, so neither the slicing nor
+    the thread count moves a bit.
     """
     n = prior.n
     per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
@@ -138,17 +138,15 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     def build():
         stack = None
         for v in candidates:
-            precision, kernel, zero_basis, _, _, tau = _restrict(
+            projected, _, zero_basis, _, _, tau = _projected(
                 prior, _observation(n, selected + [v], sigma2))
-            if kernel is not None:
-                precision = kernel.T @ precision @ kernel
-            m = precision.shape[0]
+            m = projected.shape[0]
             if stack is not None and (count == per_slice or stack.shape[1] != m):
                 yield stack[:count], taus[:count], zeros
                 stack = None
             if stack is None:
                 stack, taus, zeros, count = np.empty((per_slice, m, m)), np.empty(per_slice), [], 0
-            _symmetrized(precision, out=stack[count])
+            stack[count] = projected
             taus[count] = tau
             zeros.append(zero_basis.shape[1])
             count += 1

@@ -61,15 +61,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-node empirical mean squared error against posterior variance."""
+    """Per-node empirical mean squared error against posterior variance,
+    with the configuration that produced them."""
 
     variance: np.ndarray
     mse: np.ndarray
-    trials: int
-    seed: int
-    eps: float
-    sigma2: float
-    sampling: tuple = None
+    config: ExperimentConfig
 
     @property
     def ratio(self):
@@ -159,15 +156,7 @@ def run_calibration(config):
         float(np.sqrt(config.sigma2)),
     )
 
-    return ExperimentReport(
-        variance=variance,
-        mse=mse,
-        trials=config.trials,
-        seed=config.seed,
-        eps=config.eps,
-        sigma2=config.sigma2,
-        sampling=config.sampling,
-    )
+    return ExperimentReport(variance=variance, mse=mse, config=config)
 
 
 def _fmt(value):
@@ -177,12 +166,13 @@ def _fmt(value):
 def render_report_csv(report):
     """Serialize a report as ``node,variance,mse,ratio`` CSV text with a
     comment block echoing the configuration."""
+    config = report.config
     lines = [
-        f"# eps={_fmt(report.eps)} sigma2={_fmt(report.sigma2)} "
-        f"trials={report.trials} seed={report.seed}"
+        f"# eps={_fmt(config.eps)} sigma2={_fmt(config.sigma2)} "
+        f"trials={config.trials} seed={config.seed}"
     ]
-    if report.sampling is not None:
-        lines.append("# nodes=" + ",".join(str(v) for v in report.sampling))
+    if config.sampling is not None:
+        lines.append("# nodes=" + ",".join(str(v) for v in config.sampling))
     lines.append("node,variance,mse,ratio")
     ratio = report.ratio
     for i in range(report.variance.shape[0]):

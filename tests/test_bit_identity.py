@@ -11,6 +11,9 @@ setting, so the bits do not depend on it.
 """
 
 import hashlib
+import importlib
+import json
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from graphbayes import (
 )
 from graphbayes.cli import main
 from graphbayes.simulate import _estimator_matrix
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def _digest(arr):
@@ -209,3 +215,21 @@ def test_sample_select_stdout_is_unchanged(capsys, tmp_path):
     assert main(["sample-select", str(graph), "--budget", "4", "--sigma2", "0.5"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "3344274a3311808db33407bbfbeae9f89e3a8284b4285dc3bf7e0541e346abfa")
+
+
+def test_every_recorded_cli_digest_is_reproduced(capsys, monkeypatch, tmp_path):
+    # the stdout digests perfbench's cli workload checks, one set per input
+    # variant, from in-process runs of the four subcommands
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    with open(os.path.join(PERFBENCH, "refs.json"), encoding="utf-8") as handle:
+        recorded = json.load(handle)["cli"]
+    assert len(recorded) == workloads.CLI_VARIANTS
+    monkeypatch.chdir(tmp_path)
+    for seed in range(workloads.CLI_VARIANTS):
+        inp = workloads.make_inputs("cli", seed)
+        workloads.write_files(inp, str(tmp_path))
+        for sub, argv in inp["argv"].items():
+            assert main(argv) == 0
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert digest == recorded[inp["variant"]][sub], (inp["variant"], sub)

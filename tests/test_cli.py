@@ -167,6 +167,17 @@ class TestUncertainty:
         assert code == 1
         assert "nonzero" in err
 
+    def test_direction_scale_does_not_change_the_line(self, capsys, tmp_path):
+        # the constant direction has the noise variance, 1, at every scale
+        graph = tmp_path / "p3.edges"
+        graph.write_text("# n=3\n0 1\n1 2\n")
+        for direction in ("1,1,1", "1e300,1e300,1e300", "1e-200,1e-200,1e-200"):
+            code, out, err = run_cli(
+                capsys,
+                ["uncertainty", str(graph), "--sigma2", "1", "--direction", direction],
+            )
+            assert (code, out, err) == (0, "1\n", "")
+
     @pytest.mark.parametrize("direction", ["1,nan,0,0", "1,inf,0,0"])
     def test_non_finite_direction_exits_one(self, capsys, tmp_path, direction):
         graph = tmp_path / "p4.edges"

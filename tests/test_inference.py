@@ -306,6 +306,28 @@ class TestDirectionalUncertainty:
         with pytest.raises(ValueError, match="nonzero"):
             directional_uncertainty(summary, np.zeros(2))
 
+    @pytest.mark.parametrize("power", [-1070, -600, 600, 1000])
+    def test_scale_does_not_move_a_bit(self, power):
+        # every scaled entry is exact, subnormal ones at 2**-1070 included,
+        # while the squared norm of the scaled vector under- or overflows
+        lap = laplacian(path_graph(4))
+        obs = partial_observation(SamplingOperator(n=4, nodes=(0, 2)), np.ones(2), 0.5)
+        summary = fuse(smoothness_prior(lap, 0.0), obs)
+        d = np.array([1.0, -2.0, 0.5, 3.0])
+        expected = directional_uncertainty(summary, d)
+        assert 0.0 < expected < math.inf
+        assert directional_uncertainty(summary, d * 2.0**power) == expected
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_flat_direction_is_inf_at_any_scale(self, scale):
+        g = Graph.from_edges(2, [])
+        summary = fuse(
+            smoothness_prior(laplacian(g), 0.0),
+            partial_observation(SamplingOperator(n=2, nodes=(0,)), np.array([1.0]), 1.0),
+        )
+        assert directional_uncertainty(summary, np.array([0.0, scale])) == math.inf
+        assert directional_uncertainty(summary, np.array([scale, scale])) == math.inf
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_direction_rejected(self, bad):
         _, summary = p2_setup()
