@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
+    _as_index,
     _as_scalar,
     _as_signal,
     _frozen,
@@ -127,11 +128,12 @@ class SamplingOperator:
     nodes: tuple
 
     def __post_init__(self):
-        nodes = tuple(int(v) for v in self.nodes)
+        n = _as_index(self.n, "node count")
+        nodes = tuple(map(_as_index, self.nodes))
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids in sampling set")
         for v in nodes:
-            if not 0 <= v < self.n:
+            if not 0 <= v < n:
                 raise ValueError(f"node id {v} out of range for n={self.n}")
         object.__setattr__(self, "nodes", nodes)
 

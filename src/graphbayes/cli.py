@@ -122,6 +122,8 @@ def _cmd_estimate(args):
     if args.prior == "smooth":
         prior = smoothness_prior(lap, args.eps)
     elif args.prior.startswith("bandlimit:"):
+        if args.eps != 0:  # the exact subspace prior has no ridge
+            raise CliError(f"--eps applies to the smooth prior only, not to {args.prior!r}")
         try:
             bandlimit = float(args.prior.split(":", 1)[1])
         except ValueError:
@@ -182,6 +184,8 @@ def _graph_from_simulate_args(args):
     sources = sum(x is not None for x in (args.graph_file, args.grid, args.rgg))
     if sources != 1:
         raise CliError("give exactly one of: graph file, --grid, --rgg")
+    if args.one_based and args.graph_file is None:
+        raise CliError("--one-based applies to a graph file only, not to --grid or --rgg")
     if args.graph_file is not None:
         return _load_graph(args.graph_file, args.one_based)
     if args.grid is not None:
@@ -299,7 +303,3 @@ def main(argv=None):
 
 def entrypoint():  # pragma: no cover - thin wrapper for the console script
     sys.exit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    entrypoint()

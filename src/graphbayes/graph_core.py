@@ -7,6 +7,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import weakref
@@ -56,10 +57,10 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
+        if _as_index(self.n, "node count") < 1:
             raise ValueError("graph must have at least one node")
         for edge in self.edges:
-            i, j = edge
+            i, j = map(_as_index, edge)
             if i == j:
                 raise ValueError(f"self-loop at node {i} not allowed")
             if not (0 <= i < j < self.n):
@@ -309,6 +310,14 @@ def _as_scalar(value, name, positive=False):
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
     return value
+
+
+def _as_index(value, name="node id"):
+    """Node id or count ``value`` as an int; a non-integer raises, not truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def gft(spectrum, x):

@@ -54,8 +54,8 @@ def _metric_rule(values, flat, zero, metric):
 # round scores every candidate exactly.
 _SCREEN_RTOL = 1e-8
 
-# Bytes of one slice of the stacked candidate matrices that a round hands to
-# eigh; a round holds about one slice per thread, never all candidates.
+# Bytes of the candidate matrices of one chunk, which a round builds and hands
+# to eigh in stacks; a round holds about one chunk per thread, never all.
 _SLICE_BYTES = 1 << 20
 
 
@@ -75,8 +75,8 @@ def _score(prior, nodes, sigma2, metric):
 def _screen(base, sigma2, metric):
     """Closed-form ``trace`` or ``logdet`` score of adding each node to the
     sampling set behind ``base``, with the size of the base score that
-    bounds their rounding; ``None`` for ``logdet`` once a direction has
-    zero variance, where it is ``-inf`` whatever the node.
+    bounds their rounding; ``None`` for ``max_eig``, and for ``logdet`` when
+    σ² = 0 or a direction has zero variance (``-inf`` whatever the node).
 
     With Σ the finite covariance and one flat direction ``z``, a sample at
     node v fixes ``z`` and leaves Σ as it is: the trace grows by
@@ -88,12 +88,11 @@ def _screen(base, sigma2, metric):
     λ, so Σ_vv = (B∘B)λ and ‖Σe_v‖² = (B∘B)λ² come from B∘B without
     forming Σ.
     """
-    if metric == "logdet" and base.zero_basis.shape[1] > 0:
+    if metric == "max_eig" or (metric == "logdet" and (sigma2 == 0 or base.zero_basis.shape[1])):
         return None
     values, basis, flat = base.cov_values, base.cov_basis, base.null_basis
     if metric == "trace":
-        total = values.sum()
-        size = total
+        total = size = values.sum()
     else:
         logs = np.log(values)
         total, size = logs.sum(), np.abs(logs).sum()
@@ -121,12 +120,12 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     """``_score(prior, selected + [v], sigma2, metric)`` for each ``v`` of
     ``candidates``, bit for bit, from stacked eigendecompositions.
 
-    On the calling thread, each candidate's projected precision, the matrix
-    :func:`fuse` eigendecomposes, is copied into slices of at most
-    ``_SLICE_BYTES``. Each slice goes to :func:`_eigen_split` whole, on up
-    to one thread per core, in about the same number of slices per thread;
-    ``eigh`` takes a stack one matrix at a time, so neither the slicing nor
-    the thread count moves a bit.
+    ``candidates`` is cut into chunks of at most ``_SLICE_BYTES``, about as
+    many per thread. The calling thread builds each chunk's projected
+    precisions, the matrices :func:`fuse` eigendecomposes, and stacks each
+    run of equal kernel size for :func:`_eigen_split`, on up to one thread
+    per core; ``eigh`` takes a stack one matrix at a time, so neither the
+    chunking nor the thread count moves a bit.
     """
     n = prior.n
     per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
@@ -136,42 +135,31 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     per_slice = -(-len(candidates) // (workers * -(-slices // workers)))
 
     def build():
-        stack = None
-        for v in candidates:
-            projected, _, zero_basis, _, _, tau = _projected(
-                prior, _observation(n, selected + [v], sigma2))
-            m = projected.shape[0]
-            if stack is not None and (count == per_slice or stack.shape[1] != m):
-                yield stack[:count], taus[:count], zeros
-                stack = None
-            if stack is None:
-                stack, taus, zeros, count = np.empty((per_slice, m, m)), np.empty(per_slice), [], 0
-            stack[count] = projected
-            taus[count] = tau
-            zeros.append(zero_basis.shape[1])
-            count += 1
-        if stack is not None:
-            yield stack[:count], taus[:count], zeros
+        for lo in range(0, len(candidates), per_slice):
+            chunk = []
+            for v in candidates[lo:lo + per_slice]:
+                projected, _, zero_basis, _, _, tau = _projected(
+                    prior, _observation(n, selected + [v], sigma2))
+                chunk.append((projected, tau, zero_basis.shape[1]))
+            for _, run in itertools.groupby(chunk, key=lambda built: built[0].shape[0]):
+                matrices, taus, zeros = zip(*run)
+                yield np.stack(matrices), np.array(taus), zeros
 
     def split(task):
         stack, taus, zeros = task
         evals, _, finite = _eigen_split(stack, taus)  # only numpy off the calling thread
         return evals, finite, zeros
 
-    scores = []
-    for evals, finite, zeros in _kernels.map_in_order(split, build(), workers):
-        scores += [_metric_rule(1.0 / values[kept], np.count_nonzero(~kept), zero, metric)
-                   for values, kept, zero in zip(evals, finite, zeros)]
-    return scores
+    return [_metric_rule(1.0 / values[kept], np.count_nonzero(~kept), zero, metric)
+            for evals, finite, zeros in _kernels.map_in_order(split, build(), workers)
+            for values, kept, zero in zip(evals, finite, zeros)]
 
 
 def _next_node(prior, selected, remaining, sigma2, metric):
     """The node of ``remaining`` with the lowest exact score, the lowest id
     among bit-identical scores: screened from one posterior, then scored
     exactly by :func:`_exact_scores` on the near-ties."""
-    screened = None
-    if metric == "trace" or (metric == "logdet" and sigma2 > 0):
-        screened = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
+    screened = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
     if screened is not None:
         estimates, size = screened
         best = float(estimates[remaining].min())
@@ -199,27 +187,26 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     agree to within 1e-12 and node 78 is picked.
 
     Each round screens, then confirms. One :func:`fuse` of the nodes
-    selected so far gives every candidate's score in closed form
-    (``trace``, and ``logdet`` while no direction has zero variance).
-    The candidates within a relative 1e-8 of the lowest estimate, or of
-    the base score when that is larger, are then scored exactly, and the
-    lowest exact score wins as above. If a confirmed score misses its
-    estimate by more than that margin, or every estimate is ``inf``, the
-    round scores every candidate exactly; ``max_eig`` always does. Exact
-    scores decide every winner, so the set is the one that scoring every
-    candidate exactly gives, unless an unconfirmed candidate's exact score
-    lies below its estimate by more than the margin; no case checked so
-    far does that.
+    selected so far gives every candidate's score in closed form (``trace``,
+    and ``logdet`` while σ² > 0 and no direction has zero variance). The
+    candidates within a relative 1e-8 of the lowest estimate, or of the base
+    score when that is larger, are then scored exactly, and the lowest exact
+    score wins as above. If a confirmed score misses its estimate by more
+    than that margin, or every estimate is ``inf``, the round scores every
+    candidate exactly; ``max_eig`` always does. Exact scores decide every
+    winner, so the set is the one that scoring every candidate exactly
+    gives, unless an unconfirmed candidate's exact score lies below its
+    estimate by more than the margin; no case checked so far does that.
 
     A round's exact scores are those of one :func:`fuse` per candidate,
     bit for bit, but computed together: each candidate's projected
-    precision is built on the calling thread into stacks of at most
-    1 MiB, and each stack is eigendecomposed by one ``eigh`` call, on up
-    to one thread per core. ``eigh`` takes a stack one matrix at a time
-    and the scores are read in candidate order, so the bits and the set
-    do not depend on the thread count; the error a candidate's
-    :func:`fuse` would raise, such as an indefinite fused precision, is
-    raised, and no thread outlives the call.
+    precision is built on the calling thread, in chunks of at most 1 MiB;
+    each run of equal kernel size in a chunk is stacked and eigendecomposed
+    by one ``eigh`` call, on up to one thread per core. ``eigh`` takes a
+    stack one matrix at a time and the scores are read in candidate order,
+    so the bits and the set do not depend on the thread count; the error a
+    candidate's :func:`fuse` would raise, such as an indefinite fused
+    precision, is raised, and no thread outlives the call.
     """
     n = prior.n
     if not 1 <= budget <= n:

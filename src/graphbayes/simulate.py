@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .belief import SamplingOperator, partial_observation, smoothness_prior
-from .graph_core import Graph, _as_scalar, laplacian, spectral_decomposition
+from .graph_core import Graph, _as_index, _as_scalar, laplacian, spectral_decomposition
 from .inference import fuse, node_variances, posterior_covariance
 
 __all__ = [
@@ -56,7 +56,7 @@ class ExperimentConfig:
         _as_scalar(self.eps, "eps (to draw prior signals)", positive=True)
         _as_scalar(self.sigma2, "sigma2")
         if self.sampling is not None:
-            object.__setattr__(self, "sampling", tuple(int(v) for v in self.sampling))
+            object.__setattr__(self, "sampling", tuple(map(_as_index, self.sampling)))
 
 
 @dataclass(frozen=True)

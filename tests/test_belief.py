@@ -242,6 +242,15 @@ class TestPartialObservation:
         with pytest.raises(ValueError, match="duplicate"):
             SamplingOperator(n=4, nodes=(1, 1))
 
+    def test_non_integer_node_id_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="node id must be an integer, got 1.7"):
+            SamplingOperator(n=3, nodes=(1.7,))
+
+    def test_numpy_integer_node_ids_become_ints(self):
+        op = SamplingOperator(n=np.int64(3), nodes=(np.int16(2), np.uint32(0)))
+        assert op.nodes == (2, 0)
+        assert all(type(v) is int for v in op.nodes)
+
     def test_length_mismatch(self):
         op = SamplingOperator(n=4, nodes=(0, 2))
         with pytest.raises(ValueError):

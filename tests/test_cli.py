@@ -467,6 +467,16 @@ class TestErrorPaths:
          "need at least one node"),
         (["simulate", "--rgg", "-100000,0.5", "--sigma2", "1", "--eps", "1", "--trials", "1"],
          "need at least one node"),
+        # flags that would do nothing: the exact subspace prior has no ridge,
+        # and a generated graph has no file ids to shift
+        (["estimate", "{graph}", "{signal}", "--sigma2", "1", "--prior", "bandlimit:1",
+          "--eps", "5"], "--eps applies to the smooth prior only, not to 'bandlimit:1'"),
+        (["estimate", "{graph}", "{signal}", "--noise-free", "--prior", "bandlimit:0",
+          "--eps", "nan"], "--eps applies to the smooth prior only, not to 'bandlimit:0'"),
+        (["simulate", "--grid", "2x2", "--sigma2", "1", "--eps", "1", "--trials", "1",
+          "--one-based"], "--one-based applies to a graph file only"),
+        (["simulate", "--rgg", "5,0.5", "--sigma2", "1", "--eps", "1", "--trials", "1",
+          "--one-based"], "--one-based applies to a graph file only"),
     ])
     def test_exit_one_with_the_message(self, capsys, tmp_path, p2_files, argv, message):
         graph, signal = p2_files

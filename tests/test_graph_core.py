@@ -97,6 +97,23 @@ class TestGraphType:
         with pytest.raises(ValueError, match="graph must have at least one node"):
             Graph(n=0, edges=frozenset())
 
+    def test_non_integer_node_id_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="node id must be an integer, got 0.5"):
+            Graph(n=3, edges=frozenset({(0.5, 2)}))
+
+    def test_from_edges_refuses_a_non_integer_node_id(self):
+        with pytest.raises(ValueError, match="node id must be an integer, got 0.5"):
+            Graph.from_edges(3, [(0.5, 1)])
+
+    def test_non_integer_node_count_is_refused(self):
+        with pytest.raises(ValueError, match="node count must be an integer, got 2.5"):
+            Graph.from_edges(2.5, [(0, 1)])
+
+    def test_numpy_integer_ids_and_count_are_accepted(self):
+        g = Graph.from_edges(np.int64(3), [(np.int32(2), np.uint8(0))])
+        assert g == Graph.from_edges(3, [(0, 2)])
+        np.testing.assert_array_equal(laplacian(g), laplacian(Graph.from_edges(3, [(0, 2)])))
+
 
 class TestLaplacian:
     def test_path3_matrix(self):

@@ -239,6 +239,30 @@ class TestScreenedGreedy:
         assert selection.nodes[0] == 0
         assert selection.nodes == reference_greedy(prior, 3, 1e-2, metric)
 
+    def test_screen_alone_decides_which_rounds_are_screened(self, monkeypatch):
+        prior = smoothness_prior(laplacian(grid_graph(3, 3)), 0.0)
+        noisy, noise_free = (sampling_eval._posterior(prior, [4], s) for s in (1.0, 0.0))
+        assert sampling_eval._screen(noisy, 1.0, "trace") is not None
+        assert sampling_eval._screen(noisy, 1.0, "logdet") is not None
+        assert sampling_eval._screen(noisy, 1.0, "max_eig") is None
+        # sigma2 = 0, with and without a zero-variance direction yet
+        assert sampling_eval._screen(sampling_eval._posterior(prior, [], 0.0), 0.0,
+                                     "logdet") is None
+        assert sampling_eval._screen(noise_free, 0.0, "logdet") is None
+        assert sampling_eval._screen(noise_free, 0.0, "trace") is not None
+        # _next_node asks _screen every round, whatever the metric
+        rounds = []
+        screen = sampling_eval._screen
+
+        def recording_screen(base, sigma2, metric):
+            rounds.append(metric)
+            return screen(base, sigma2, metric)
+
+        monkeypatch.setattr(sampling_eval, "_screen", recording_screen)
+        for metric in sampling_eval.METRICS:
+            greedy_select(prior, 2, 0.0, metric)
+        assert rounds == [m for m in sampling_eval.METRICS for _ in range(2)]
+
     @pytest.mark.parametrize("sigma2, metric, limit", [
         (0.0, "trace", 20),
         (1.0, "logdet", 90),
@@ -297,6 +321,34 @@ class TestStackedExactScores:
         with mock.patch.object(_kernels, "_cores", lambda: cores), \
                 mock.patch.object(sampling_eval, "_SLICE_BYTES", per_slice * 8 * prior.n**2):
             scores = sampling_eval._exact_scores(prior, selected, candidates, sigma2, metric)
+        assert [float(s).hex() for s in scores] == expected
+
+    @pytest.mark.parametrize("metric", sampling_eval.METRICS)
+    def test_one_chunk_with_several_kernel_sizes(self, monkeypatch, metric):
+        lap = laplacian(two_component_graph())
+        # the two smoothest eigenvectors of each component's Laplacian block
+        basis = np.zeros((10, 4))
+        for k, block in enumerate((slice(0, 5), slice(5, 10))):
+            basis[block, 2 * k:2 * k + 2] = np.linalg.eigh(lap[block, block])[1][:, :2]
+        prior = smoothness_prior(lap, 0.5).combine(subspace_prior(SubspaceBasis(basis), 0.0))
+        selected, candidates = [0, 5], [1, 2, 3, 4, 6, 7, 8, 9]
+        expected = []
+        for v in candidates:
+            op = SamplingOperator(n=10, nodes=(0, 5, v))
+            summary = fuse(prior, partial_observation(op, np.zeros(3), 0.0))
+            expected.append(covariance_metric(summary, metric).hex())
+        stacks = []
+
+        def recording_split(stack, taus):
+            stacks.append(stack.shape)
+            return eigen_split(stack, taus)
+
+        eigen_split = sampling_eval._eigen_split
+        monkeypatch.setattr(sampling_eval, "_eigen_split", recording_split)
+        monkeypatch.setattr(sampling_eval, "_SLICE_BYTES", 8 * 8 * 10**2)  # eight matrices
+        scores = sampling_eval._exact_scores(prior, selected, candidates, 0.0, metric)
+        # kernel sizes 2, 1, 1, 1, 2, 1, 1, 1 in one chunk: four runs
+        assert stacks == [(1, 2, 2), (3, 1, 1), (1, 2, 2), (3, 1, 1)]
         assert [float(s).hex() for s in scores] == expected
 
     def test_no_pool_thread_outlives_greedy_select(self, monkeypatch):

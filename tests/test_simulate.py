@@ -282,6 +282,11 @@ class TestRunCalibration:
         np.testing.assert_allclose(report.mse[[0, 3]], 0.0, atol=1e-20)
         np.testing.assert_allclose(report.variance[[0, 3]], 0.0, atol=1e-12)
 
+    def test_non_integer_sampled_node_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="node id must be an integer, got 0.9"):
+            ExperimentConfig(graph=path_graph(3), eps=0.1, sigma2=1.0, trials=1, seed=0,
+                             sampling=(0.9,))
+
     def test_noise_free_estimator_matches_one_fuse_per_column(self):
         # reference: the constrained mean for a unit observation at each
         # sampled node, one fuse per column
