@@ -32,7 +32,7 @@ import statistics
 import subprocess
 import sys
 
-from record import _append, _git
+from record import _append, _git, _quartiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_greedy.json")
@@ -102,7 +102,7 @@ def main():
                 "grid": "9x9", "eps": 0.0, "budget": BUDGET, "metric": metric,
                 "sigma2": sigma2, "blas_threads": 1, "cpus": os.cpu_count(),
                 "seconds": seconds, "median_s": statistics.median(seconds),
-                "quartiles_s": statistics.quantiles(seconds, n=4)[::2],
+                "quartiles_s": _quartiles(seconds)[::2],
                 **{key: last[key] for key in
                    ("nodes", "exact_scores", "fuse_calls", "python", "numpy")},
             }

@@ -1,0 +1,124 @@
+"""Time graph intake, the edge-list parse and the grid generator, in fresh
+processes and append the results to BENCH_intake.json.
+
+Usage, from the root of a checkout::
+
+    python3 benchmarks/bench_intake.py
+    python3 benchmarks/bench_intake.py --checkout ../parent --checkout . --runs 9
+    python3 benchmarks/bench_intake.py --width 33 --runs 1
+
+For each ``--width`` W (default: 33 and 316, so n = 1 089 and 99 856), each
+run is one fresh process per ``--checkout`` (default: this repository),
+which imports graphbayes from that checkout's ``src/`` with one BLAS thread;
+with two checkouts the order alternates from run to run. A process builds
+the edge-list text of the W x W grid (a ``# n=<N>`` header, then each
+node's right and down neighbour, row-major), times one ``load_edge_list``
+call on it and one ``grid_graph(W, W)`` call, and checks that the two
+graphs are equal.
+
+One entry per width and checkout is appended to ``BENCH_intake.json`` at
+the root of this repository: the commit id, whether its ``src/`` differs
+from it, every run's wall time of each call with their median and
+quartiles, the node and edge counts and the versions of Python and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+from record import _append, _git, _quartiles
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_PATH = os.path.join(ROOT, "BENCH_intake.json")
+WIDTHS = (33, 316)
+
+CHILD = r"""
+import json, platform, sys, time
+import numpy as np
+from graphbayes import grid_graph, load_edge_list
+
+width = int(sys.argv[1])
+lines = [f"# n={width * width}"]
+for v in range(width * width):
+    if v % width + 1 < width:
+        lines.append(f"{v} {v + 1}")
+    if v + width < width * width:
+        lines.append(f"{v} {v + width}")
+text = "\n".join(lines) + "\n"
+
+start = time.perf_counter()
+parsed = load_edge_list(text)
+load_s = time.perf_counter() - start
+start = time.perf_counter()
+generated = grid_graph(width, width)
+grid_s = time.perf_counter() - start
+assert parsed == generated
+print(json.dumps({
+    "load_edge_list_s": load_s, "grid_graph_s": grid_s,
+    "n": parsed.n, "edges": len(parsed.edges),
+    "python": platform.python_version(), "numpy": np.__version__,
+}))
+"""
+
+
+def _run(checkout, width):
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(width)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _timings(results, name):
+    seconds = [r[f"{name}_s"] for r in results]
+    return {f"{name}_s": seconds, f"{name}_median_s": statistics.median(seconds),
+            f"{name}_quartiles_s": _quartiles(seconds)[::2]}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", action="append",
+                        help="checkout to run (repeat for a pair; default: this repository)")
+    parser.add_argument("--width", type=int, action="append",
+                        help=f"grid width W (repeatable; default: {' and '.join(map(str, WIDTHS))})")
+    parser.add_argument("--runs", type=int, default=7, help="fresh processes per width")
+    args = parser.parse_args()
+    checkouts = [os.path.abspath(c) for c in args.checkout or [ROOT]]
+
+    entries = []
+    for width in args.width or WIDTHS:
+        runs = {c: [] for c in checkouts}
+        for k in range(args.runs):
+            for checkout in checkouts[::-1] if k % 2 else checkouts:
+                runs[checkout].append(_run(checkout, width))
+        for checkout, results in runs.items():
+            last = results[-1]
+            entry = {
+                "commit": _git(checkout, "rev-parse", "HEAD"),
+                "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
+                "grid": f"{width}x{width}", "blas_threads": 1, "cpus": os.cpu_count(),
+                **_timings(results, "load_edge_list"),
+                **_timings(results, "grid_graph"),
+                **{key: last[key] for key in ("n", "edges", "python", "numpy")},
+            }
+            entries.append(entry)
+            print(f"{entry['grid']:7s} {entry['commit'][:7]}{'+' if entry['dirty'] else ''}: "
+                  f"load_edge_list median {entry['load_edge_list_median_s']:.4f} s "
+                  f"(quartiles {entry['load_edge_list_quartiles_s'][0]:.4f} "
+                  f"{entry['load_edge_list_quartiles_s'][1]:.4f}), "
+                  f"grid_graph median {entry['grid_graph_median_s']:.4f} s "
+                  f"(quartiles {entry['grid_graph_quartiles_s'][0]:.4f} "
+                  f"{entry['grid_graph_quartiles_s'][1]:.4f}), "
+                  f"n={entry['n']} edges={entry['edges']}", flush=True)
+
+    _append(BENCH_PATH, entries)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,9 +68,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, pairs):
-        """Build a graph from an iterable of (u, v) pairs, deduplicating."""
-        canon = frozenset((min(u, v), max(u, v)) for u, v in pairs)
-        return cls(n=n, edges=canon)
+        """Build a graph from arbitrary (u, v) pairs, in either order and
+        with duplicates. The library's parser and generators emit canonical
+        (min, max) pairs and construct the graph directly."""
+        return cls(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
 
 def load_edge_list(text, one_based=False):
@@ -87,7 +88,7 @@ def load_edge_list(text, one_based=False):
         On unparseable lines, self-loops, or ids outside a declared n.
     """
     declared_n = None
-    seen = []  # (line_no, u, v) with u < v
+    pairs, line_nos = [], []  # (u, v) with u < v, and the line of each
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -114,23 +115,24 @@ def load_edge_list(text, one_based=False):
             raise GraphFormatError(f"line {line_no}: negative node id")
         if u == v:
             raise GraphFormatError(f"line {line_no}: self-loop at node {u}")
-        seen.append((line_no, min(u, v), max(u, v)))
+        pairs.append((u, v) if u < v else (v, u))
+        line_nos.append(line_no)
 
     if declared_n is None:
-        if not seen:
+        if not pairs:
             raise GraphFormatError(
                 "empty edge list and no '# n=<N>' header to fix the node count"
             )
-        n = max(v for _, _, v in seen) + 1
+        n = max(v for _, v in pairs) + 1
     else:
         n = declared_n
-        for line_no, _, v in seen:
+        for line_no, (_, v) in zip(line_nos, pairs):
             if v >= n:
                 raise GraphFormatError(
                     f"line {line_no}: node id {v} >= declared n={n}"
                 )
 
-    return Graph.from_edges(n, ((u, v) for _, u, v in seen))
+    return Graph(n=n, edges=frozenset(pairs))
 
 
 def read_signal_csv(text):
@@ -346,29 +348,24 @@ def quadratic_variation(lap, x):
 
 def path_graph(n):
     """Path on n nodes: edges (i, i+1)."""
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def star_graph(n):
     """Star on n nodes with hub 0."""
     if n < 2:
         raise ValueError("star graph needs at least 2 nodes")
-    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
+    return Graph(n=n, edges=frozenset((0, i) for i in range(1, n)))
 
 
 def grid_graph(width, height):
     """4-neighbour grid, nodes numbered row-major."""
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            v = r * width + c
-            if c + 1 < width:
-                edges.append((v, v + 1))
-            if r + 1 < height:
-                edges.append((v, v + width))
-    return Graph.from_edges(width * height, edges)
+    ids = np.arange(width * height).reshape(height, width)
+    right = zip(ids[:, :-1].ravel().tolist(), ids[:, 1:].ravel().tolist())
+    down = zip(ids[:-1].ravel().tolist(), ids[1:].ravel().tolist())
+    return Graph(n=width * height, edges=frozenset([*right, *down]))
 
 
 def random_geometric_graph(n, radius, seed):
@@ -388,4 +385,4 @@ def random_geometric_graph(n, radius, seed):
         close &= np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)[None, :]
         i, j = np.nonzero(close)
         edges.extend(zip((i + lo).tolist(), (j + lo + 1).tolist()))
-    return Graph.from_edges(n, edges)
+    return Graph(n=n, edges=frozenset(edges))

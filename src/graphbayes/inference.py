@@ -283,14 +283,24 @@ def node_variances(summary):
     return np.where(_flat_nodes(summary), math.inf, finite)
 
 
+def _binary_exponent(values, axis=None):
+    """The exponent ``e`` of the power of two that brings the largest
+    |entry| of ``values`` (along ``axis``) into [1/2, 1) as
+    ``values * 2**-e``; 0 where every entry is 0. Dividing by it is exact,
+    so a computation on the scaled values differs from one on the
+    originals by that power of two alone, whatever their units, and none
+    of its norms overflows or underflows."""
+    peak = np.maximum(np.max(values, axis=axis, initial=0.0),
+                      -np.min(values, axis=axis, initial=0.0))
+    return np.frexp(peak)[1]
+
+
 def _variances_along(summary, vectors):
     """Posterior variance along each column of ``vectors``; ``inf`` where
     the normalized column has a component beyond ``DIRECTION_TOL`` inside
-    the flat subspace. Each column is first scaled by the power of two that
-    brings its largest |entry| into [1/2, 1): exact, so the result does not
-    depend on the column's scale, and no norm overflows or underflows."""
-    peak = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
-    vectors = np.ldexp(vectors, -np.frexp(peak)[1])
+    the flat subspace. Each column is first scaled by the power of two of
+    :func:`_binary_exponent`, so the result does not depend on its scale."""
+    vectors = np.ldexp(vectors, -_binary_exponent(vectors, axis=0))
     norms = np.linalg.norm(vectors, axis=0)
     coeffs = summary.cov_basis.T @ vectors
     np.square(coeffs, out=coeffs)
@@ -385,6 +395,13 @@ def solve_map(prior, observation, method="closed_form"):
     with the iteration count if it misses a relative residual of 1e-10
     after ``max(10 k, 50)`` iterations, ``k`` the kernel's dimension.
 
+    The iterative path divides its operator by the power of two of the cut
+    ``tau`` and its right-hand side by the power of two that brings its
+    largest |entry| into [1/2, 1), and scales the solution back. Both are
+    exact, so it gives the same mean in any units of the data and of the
+    precision; the curvatures and residuals its errors report are in those
+    rescaled units.
+
     The iterative path tells a unique maximizer from a non-unique one with
     the cut of :func:`fuse`: it runs CG on ``A d = 0`` from a seeded random
     start, ``A`` the operator of the solve, and calls the maximizer
@@ -407,23 +424,30 @@ def solve_map(prior, observation, method="closed_form"):
         mean, unique = summary.mean, summary.unique_mean
     elif method == "iterative":
         precision, kernel, _, particular, rhs, tau = _restrict(prior, observation)
+        # Exact rescalings, so that no product or norm overflows or
+        # underflows in any units: the operator and its cut by tau's power
+        # of two, the right-hand side by its own, the solution by their
+        # ratio. Neither moves a bit where the unscaled run stays in range.
+        op_exp, rhs_exp = _binary_exponent(tau), _binary_exponent(rhs)
+        tau, rhs = np.ldexp(tau, -op_exp), np.ldexp(rhs, -rhs_exp)
         if kernel is None:
             # the kernel is the whole space: run CG on the precision itself
             def apply_op(y):
-                return precision @ y
+                return np.ldexp(precision @ y, -op_exp)
         else:
             def apply_op(y):
-                return kernel.T @ (precision @ (kernel @ y))
+                return np.ldexp(kernel.T @ (precision @ (kernel @ y)), -op_exp)
 
         free = rhs.shape[0]
         # rounding of the right-hand side h - P particular, restricted: one
         # at most this is noise, whose solution is 0
-        floor = (particular.shape[0] * RANK_TOL * np.linalg.norm(prior.info + observation.info)
-                 + tau * np.linalg.norm(particular))
+        info = np.ldexp(prior.info + observation.info, -rhs_exp)
+        floor = (particular.shape[0] * RANK_TOL * np.linalg.norm(info)
+                 + tau * np.linalg.norm(np.ldexp(particular, op_exp - rhs_exp)))
         if np.linalg.norm(rhs) <= floor:
             solution = np.zeros(free)
         else:
-            solution = _conjugate_gradient(apply_op, rhs, tau=tau)
+            solution = np.ldexp(_conjugate_gradient(apply_op, rhs, tau=tau), rhs_exp - op_exp)
         # Flat directions are invisible to CG started at zero. Solving
         # A d = 0 from a seeded random point removes the start's component
         # in the range of A and leaves its flat part untouched; the

@@ -399,6 +399,21 @@ class TestGenerators:
             assert graph == expected
             assert all(type(v) is int for edge in graph.edges for v in edge)
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (7, 1), (4, 5), (9, 9)])
+    def test_grid_matches_pairwise_loop(self, width, height):
+        # reference: the right and down neighbour of every node, row-major
+        pairs = []
+        for r in range(height):
+            for c in range(width):
+                v = r * width + c
+                if c + 1 < width:
+                    pairs.append((v, v + 1))
+                if r + 1 < height:
+                    pairs.append((v, v + width))
+        graph = grid_graph(width, height)
+        assert graph == Graph.from_edges(width * height, pairs)
+        assert all(type(v) is int for edge in graph.edges for v in edge)
+
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             grid_graph(0, 3)

@@ -457,21 +457,30 @@ class TestSolveMap:
         with pytest.warns(NonUniqueSolutionWarning):
             solve_map(prior, obs, "closed_form")
 
-    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
-    def test_the_uniqueness_verdict_does_not_depend_on_the_units_of_the_data(self, scale):
+    # data alone scaled by `scale`, or a change of units x -> c x: data
+    # times c, the prior's precision over c^2 and sigma2 times c^2
+    @pytest.mark.parametrize("scale, units", [
+        pytest.param(scale, 1.0, id=str(scale))
+        for scale in (1e-200, 1e-160, 1.0, 1e4, 1e6, 1e9, 1e160, 1e300)
+    ] + [pytest.param(1.0, c, id=f"units-{c}") for c in (1e-100, 1e-60, 1e60, 1e150)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_uniqueness_verdict_does_not_depend_on_the_units_of_the_data(
+            self, scale, units):
         # eps = 0 on a 50-node path sampled at every 7th node and on a
         # 5-node path with no sample, whose constant is flat in any units;
         # a verdict that compares two CG solutions of the data misses it
         # once their forward error outgrows the flat part of the start
         edges = [(i, i + 1) for i in range(49)] + [(i, i + 1) for i in range(50, 54)]
-        prior = smoothness_prior(laplacian(Graph.from_edges(55, edges)), 0.0)
+        lap = laplacian(Graph.from_edges(55, edges))
+        prior = smoothness_prior(lap / units**2, 0.0)
         op = SamplingOperator(n=55, nodes=tuple(range(0, 50, 7)))
-        obs = partial_observation(op, scale * np.arange(1.0, op.n_s + 1), 0.3)
+        data = scale * units * np.arange(1.0, op.n_s + 1)
+        obs = partial_observation(op, data, 0.3 * units**2)
         with pytest.warns(NonUniqueSolutionWarning):
             closed = solve_map(prior, obs, "closed_form")
         with pytest.warns(NonUniqueSolutionWarning):
             iterative = solve_map(prior, obs, "iterative")
-        np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(iterative, closed, rtol=1e-9, atol=1e-9 * scale * units)
 
     def test_iteration_cap_reports_divergence(self, monkeypatch):
         rng = np.random.default_rng(40)
