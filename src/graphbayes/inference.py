@@ -284,12 +284,9 @@ def node_variances(summary):
 
 
 def _binary_exponent(values, axis=None):
-    """The exponent ``e`` of the power of two that brings the largest
-    |entry| of ``values`` (along ``axis``) into [1/2, 1) as
-    ``values * 2**-e``; 0 where every entry is 0. Dividing by it is exact,
-    so a computation on the scaled values differs from one on the
-    originals by that power of two alone, whatever their units, and none
-    of its norms overflows or underflows."""
+    """Exponent ``e`` that puts the largest |entry| of ``values * 2**-e``
+    (along ``axis``) in [1/2, 1), and 0 for zeros: dividing by ``2**e`` is
+    exact, so it moves the values' units to about 1 and no bit."""
     peak = np.maximum(np.max(values, axis=axis, initial=0.0),
                       -np.min(values, axis=axis, initial=0.0))
     return np.frexp(peak)[1]
@@ -424,10 +421,9 @@ def solve_map(prior, observation, method="closed_form"):
         mean, unique = summary.mean, summary.unique_mean
     elif method == "iterative":
         precision, kernel, _, particular, rhs, tau = _restrict(prior, observation)
-        # Exact rescalings, so that no product or norm overflows or
-        # underflows in any units: the operator and its cut by tau's power
-        # of two, the right-hand side by its own, the solution by their
-        # ratio. Neither moves a bit where the unscaled run stays in range.
+        # exact power-of-two rescalings keep every product and norm in range
+        # in any units: the operator and its cut by tau's, the right-hand
+        # side by its own, and the solution back by their ratio
         op_exp, rhs_exp = _binary_exponent(tau), _binary_exponent(rhs)
         tau, rhs = np.ldexp(tau, -op_exp), np.ldexp(rhs, -rhs_exp)
         if kernel is None:
