@@ -26,13 +26,11 @@ the counts and the versions of Python and numpy.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
-import subprocess
 import sys
 
-from record import _append, _git, _quartiles
+from record import _append, _fresh_runs, _header, _quartiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_greedy.json")
@@ -71,14 +69,6 @@ print(json.dumps({
 """
 
 
-def _run(checkout, metric, sigma2):
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, metric, str(sigma2), str(BUDGET)],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", action="append",
@@ -89,18 +79,14 @@ def main():
 
     entries = []
     for metric, sigma2 in CASES:
-        runs = {c: [] for c in checkouts}
-        for k in range(args.runs):
-            for checkout in checkouts[::-1] if k % 2 else checkouts:
-                runs[checkout].append(_run(checkout, metric, sigma2))
+        runs = _fresh_runs(checkouts, CHILD, (metric, sigma2, BUDGET), args.runs)
         for checkout, results in runs.items():
             seconds = [r["seconds"] for r in results]
             last = results[-1]
             entry = {
-                "commit": _git(checkout, "rev-parse", "HEAD"),
-                "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
+                **_header(checkout),
                 "grid": "9x9", "eps": 0.0, "budget": BUDGET, "metric": metric,
-                "sigma2": sigma2, "blas_threads": 1, "cpus": os.cpu_count(),
+                "sigma2": sigma2,
                 "seconds": seconds, "median_s": statistics.median(seconds),
                 "quartiles_s": _quartiles(seconds)[::2],
                 **{key: last[key] for key in

@@ -25,13 +25,11 @@ quartiles, the node and edge counts and the versions of Python and numpy.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
-import subprocess
 import sys
 
-from record import _append, _git, _quartiles
+from record import _append, _fresh_runs, _header, _quartiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_intake.json")
@@ -66,14 +64,6 @@ print(json.dumps({
 """
 
 
-def _run(checkout, width):
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(width)],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def _timings(results, name):
     seconds = [r[f"{name}_s"] for r in results]
     return {f"{name}_s": seconds, f"{name}_median_s": statistics.median(seconds),
@@ -92,16 +82,12 @@ def main():
 
     entries = []
     for width in args.width or WIDTHS:
-        runs = {c: [] for c in checkouts}
-        for k in range(args.runs):
-            for checkout in checkouts[::-1] if k % 2 else checkouts:
-                runs[checkout].append(_run(checkout, width))
+        runs = _fresh_runs(checkouts, CHILD, (width,), args.runs)
         for checkout, results in runs.items():
             last = results[-1]
             entry = {
-                "commit": _git(checkout, "rev-parse", "HEAD"),
-                "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
-                "grid": f"{width}x{width}", "blas_threads": 1, "cpus": os.cpu_count(),
+                **_header(checkout),
+                "grid": f"{width}x{width}",
                 **_timings(results, "load_edge_list"),
                 **_timings(results, "grid_graph"),
                 **{key: last[key] for key in ("n", "edges", "python", "numpy")},

@@ -61,6 +61,37 @@ def _git(checkout, *args):
                           text=True, check=True).stdout.strip()
 
 
+def _alternating(checkouts, k):
+    """``checkouts`` in the order of run ``k``: with two, each runs first
+    in every other run."""
+    return checkouts[::-1] if k % 2 else checkouts
+
+
+def _fresh_runs(checkouts, code, args, runs):
+    """{checkout: the JSON that each of ``runs`` fresh processes prints}.
+    A process runs the Python ``code`` with the arguments ``args``,
+    importing graphbayes from the checkout's ``src/`` with one BLAS thread;
+    the checkouts take turns in the order of :func:`_alternating`."""
+    results = {c: [] for c in checkouts}
+    for k in range(runs):
+        for checkout in _alternating(checkouts, k):
+            env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                                  env=env, capture_output=True, text=True, check=True)
+            results[checkout].append(json.loads(proc.stdout))
+    return results
+
+
+def _header(checkout):
+    """The keys that open an entry of :func:`_fresh_runs`' results: the
+    commit id of ``checkout``, whether its ``src/`` differs from it, the
+    BLAS threads and the cpus."""
+    return {"commit": _git(checkout, "rev-parse", "HEAD"),
+            "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
+            "blas_threads": 1, "cpus": os.cpu_count()}
+
+
 def _run(checkout, workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -165,7 +196,7 @@ def main():
     entries = []
     for workload in args.workload:
         for k, seed in enumerate(args.seeds):
-            for checkout in checkouts[::-1] if k % 2 else checkouts:
+            for checkout in _alternating(checkouts, k):
                 entry = _run(checkout, workload, seed, args.trace)
                 _append(BENCH_PATH, [entry])
                 entries.append(dict(entry, checkout=checkout))

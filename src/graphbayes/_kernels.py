@@ -20,8 +20,8 @@ __all__ = ["active_backend", "calibration_mse", "map_in_order"]
 
 
 def active_backend():
-    """Name of the backend answering kernel calls."""
-    # numpy is the only backend; the name stays for callers that report it
+    """Name of the backend answering kernel calls: numpy, the only one. It
+    stays because the benchmark's worker records it with every run."""
     return "numpy"
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "RANK_TOL",
     "DIRECTION_TOL",
     "fuse",
-    "posterior_mean",
     "posterior_covariance",
     "node_variances",
     "directional_uncertainty",
@@ -170,7 +169,11 @@ def _indefinite(curvature, tau):
 
 
 def _symmetrized(matrix, out=None):
-    """``(matrix + matrix.T) / 2``, written to ``out`` when given."""
+    """``(matrix + matrix.T) / 2``, written to ``out`` when given; halved
+    before the sum when an entry reaches 2**1023, where the sum overflows."""
+    if _binary_exponent(matrix) > 1023:
+        half = np.multiply(matrix, 0.5, out=out)
+        return np.add(half, half.T, out=half)
     out = np.add(matrix, matrix.T, out=out)
     out *= 0.5
     return out
@@ -247,11 +250,6 @@ def fuse(prior, observation):
         null_basis=_lift(kernel, evecs[:, ~finite]),
         zero_basis=zero_basis,
     )
-
-
-def posterior_mean(summary):
-    """Posterior mean (minimum-norm representative if not unique)."""
-    return summary.mean
 
 
 def posterior_covariance(summary):

@@ -11,7 +11,7 @@ from . import _kernels
 from .belief import SamplingOperator, partial_observation
 from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
-__all__ = ["METRICS", "covariance_metric", "greedy_select", "exhaustive_select"]
+__all__ = ["METRICS", "covariance_metric", "greedy_select"]
 
 METRICS = ("trace", "logdet", "max_eig")
 
@@ -219,21 +219,3 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
         selected.append(best_node)
         remaining.remove(best_node)
     return SamplingOperator(n=n, nodes=tuple(sorted(selected)))
-
-
-def exhaustive_select(prior, budget, sigma2, metric="trace"):
-    """Exact minimizer over all size-``budget`` subsets.
-
-    Exponential; guarded to n <= 12 and meant as an oracle for checking the
-    greedy baseline. Bit-identical scores go to the lexicographically
-    smallest set; scores tied only in exact arithmetic are decided by
-    rounding, as in :func:`greedy_select`.
-    """
-    n = prior.n
-    if n > 12:
-        raise ValueError("exhaustive search is limited to n <= 12")
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget must be in [1, {n}], got {budget}")
-    best_set = min(itertools.combinations(range(n), budget),
-                   key=lambda nodes: _score(prior, nodes, sigma2, metric))
-    return SamplingOperator(n=n, nodes=best_set)

@@ -26,8 +26,6 @@ from .inference import fuse, node_variances, posterior_covariance
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
-    "draw_prior_signal",
-    "observe",
     "run_calibration",
     "render_report_csv",
 ]
@@ -74,32 +72,6 @@ class ExperimentReport:
         for 0/0."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.mse / self.variance
-
-
-def draw_prior_signal(spectrum, eps, rng):
-    """One signal from the regularized smoothness prior.
-
-    The draw is ``vectors @ (xi / sqrt(values + eps))`` with ``xi`` standard
-    normal, which has covariance ``(L + eps I)^-1`` exactly.
-    """
-    eps = _as_scalar(eps, "eps (to draw prior signals)", positive=True)
-    scale = 1.0 / np.sqrt(spectrum.values + eps)
-    return spectrum.vectors @ (scale * rng.normals(spectrum.n))
-
-
-def observe(signal, sigma2, sampling, rng):
-    """Noisy observation of a signal, optionally restricted to a subset.
-
-    Always consumes the same number of variates from ``rng`` regardless of
-    ``sigma2`` so that stream positions stay aligned across noise levels.
-    """
-    sigma2 = _as_scalar(sigma2, "sigma2")
-    signal = np.asarray(signal, dtype=np.float64)
-    if sampling is None:
-        sampled = signal
-    else:
-        sampled = signal[list(sampling.nodes)]
-    return sampled + np.sqrt(sigma2) * rng.normals(sampled.shape[0])
 
 
 def _estimator_matrix(prior, operator, sigma2, summary):

@@ -1,10 +1,11 @@
 """Shared graph builders, referees and fakes for the test-suite."""
 
+import itertools
 import os
 
 import numpy as np
 
-from graphbayes import Graph
+from graphbayes import Graph, SamplingOperator, sampling_eval
 
 
 def random_graph(rng, n, edge_prob=0.3):
@@ -66,15 +67,42 @@ def two_component_graph():
 def reference_greedy(prior, budget, sigma2, metric="trace"):
     """Greedy selection that scores every candidate with one ``fuse``, the
     rule ``greedy_select`` must reproduce set for set."""
-    from graphbayes.sampling_eval import _score
-
     selected = []
     remaining = list(range(prior.n))
     for _ in range(budget):
-        best_node = min(remaining, key=lambda v: _score(prior, selected + [v], sigma2, metric))
+        best_node = min(remaining, key=lambda v: sampling_eval._score(
+            prior, selected + [v], sigma2, metric))
         selected.append(best_node)
         remaining.remove(best_node)
     return tuple(sorted(selected))
+
+
+def exhaustive_select(prior, budget, sigma2, metric="trace"):
+    """Exact minimizer over all size-``budget`` subsets, one ``fuse`` each:
+    exponential, an oracle for the greedy baseline on a dozen nodes or
+    fewer. Bit-identical scores go to the lexicographically smallest set.
+    The scores are looked up through ``sampling_eval``, so that a name
+    rebound there is called."""
+    best_set = min(itertools.combinations(range(prior.n), budget),
+                   key=lambda nodes: sampling_eval._score(prior, nodes, sigma2, metric))
+    return SamplingOperator(n=prior.n, nodes=best_set)
+
+
+def draw_prior_signal(spectrum, eps, rng):
+    """One signal from the regularized smoothness prior, ``vectors @ (xi /
+    sqrt(values + eps))`` with ``xi`` standard normal from ``rng``: one
+    trial of the calibration kernel, whose covariance is ``(L + eps I)^-1``."""
+    scale = 1.0 / np.sqrt(spectrum.values + eps)
+    return spectrum.vectors @ (scale * rng.normals(spectrum.n))
+
+
+def observe(signal, sigma2, sampling, rng):
+    """``signal`` on the nodes of ``sampling`` (every node when None) plus
+    noise of variance ``sigma2`` from ``rng``, which gives the same number
+    of variates whatever ``sigma2``: one trial's observation in the
+    calibration kernel."""
+    sampled = signal if sampling is None else signal[list(sampling.nodes)]
+    return sampled + np.sqrt(sigma2) * rng.normals(sampled.shape[0])
 
 
 def fake_physical_memory(monkeypatch, nbytes):

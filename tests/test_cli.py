@@ -66,6 +66,19 @@ class TestEstimate:
         assert lines[1] == "0,5,1"
         assert lines[2] == "1,0,inf"
 
+    @pytest.mark.filterwarnings("error")
+    def test_ridge_near_the_largest_double_stays_finite(self, capsys, tmp_path):
+        # the fused precision's entries are about 1e308: its symmetrizing
+        # sum must not overflow
+        graph = tmp_path / "p3.edges"
+        graph.write_text("0 1\n1 2\n")
+        signal = tmp_path / "p3.csv"
+        signal.write_text("node,value\n0,1\n1,2\n2,3\n")
+        code, out, _ = run_cli(capsys, ["estimate", str(graph), str(signal), "--sigma2", "1",
+                                        "--eps", "1e308"])
+        assert code == 0
+        assert out == "node,mean,variance\n0,1e-308,1e-308\n1,2e-308,1e-308\n2,3e-308,1e-308\n"
+
     def test_missing_file_exits_one(self, capsys, p2_files):
         _, signal = p2_files
         code, _, err = run_cli(capsys, ["estimate", "no-such.edges", str(signal), "--sigma2", "1"])

@@ -19,6 +19,7 @@ from graphbayes import (
     spectral_decomposition,
     star_graph,
 )
+from graphbayes import graph_core
 from graphbayes.graph_core import _is_sealed
 
 from helpers import fake_physical_memory, random_graph
@@ -272,6 +273,19 @@ class TestSpectrum:
     def test_rejects_a_basis_that_is_not_orthonormal(self):
         with pytest.raises(ValueError, match="eigenvector columns not orthonormal"):
             Spectrum(vectors=2.0 * np.eye(2), values=np.array([0.0, 1.0]))
+
+    def test_a_sealed_array_that_is_not_orthonormal_is_still_rejected(self):
+        with pytest.raises(ValueError, match="eigenvector columns not orthonormal"):
+            Spectrum(vectors=laplacian(path_graph(3)), values=np.arange(3.0))
+
+    def test_decomposition_skips_the_gram_check_its_vectors_pass(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(graph_core, "_require_orthonormal",
+                            lambda basis, name="basis": checked.append(basis))
+        spec = spectral_decomposition(laplacian(grid_graph(32, 34)))
+        assert checked == []
+        monkeypatch.undo()
+        graph_core._require_orthonormal(spec.vectors)
 
     def test_rejects_arrays_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="eigenvector matrix must be square"):

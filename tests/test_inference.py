@@ -31,7 +31,6 @@ from graphbayes import (
     path_graph,
     perfect_reconstruct,
     posterior_covariance,
-    posterior_mean,
     quadratic_variation,
     smoothness_prior,
     solve_map,
@@ -230,7 +229,7 @@ class TestPosteriorAccessors:
             xbar = rng.standard_normal(2)
             summary = fuse(smoothness_prior(lap, 0.0), full_observation(xbar, 1.0))
             oracle = np.linalg.solve(np.eye(2) + lap, xbar)
-            np.testing.assert_allclose(posterior_mean(summary), oracle, atol=1e-12)
+            np.testing.assert_allclose(summary.mean, oracle, atol=1e-12)
 
     def test_noise_free_full_observation_has_zero_covariance(self):
         lap = laplacian(path_graph(3))

@@ -15,6 +15,13 @@ oracle written without :func:`fuse`.
   approaches the exact (constrained) one by O(variance), and the variance
   along the constrained directions stays between closed-form bounds that
   are both proportional to it.
+* Random walks on paths and trees: under the eps=0 smoothness prior the
+  increments along the edges of a tree are i.i.d. N(0, 1). One noisy sample
+  ``y`` at the root leaves the mean ``y`` everywhere and gives
+  ``Cov(x_u, x_v) = sigma2 + depth(lca(u, v))``, so ``sigma2 + k`` at node
+  k of a path. Noise-free pins at a < b on a path make a Brownian bridge
+  between them, with variance ``(k - a)(b - k)/(b - a)`` and a linear mean,
+  and a walk from the nearest pin outside them.
 * Bayes risk: under a proper prior ``x ~ N(0, (L + eps I)^-1)`` the
   posterior variance of each node is the expected squared error of the
   linear estimator ``x_hat = E y``, ``diag((E S - I) Sigma0 (E S - I)' +
@@ -43,6 +50,7 @@ from hypothesis import strategies as st
 
 from graphbayes import (
     ExperimentConfig,
+    Graph,
     SamplingOperator,
     SubspaceBasis,
     directional_uncertainty,
@@ -52,6 +60,7 @@ from graphbayes import (
     laplacian,
     node_variances,
     partial_observation,
+    path_graph,
     posterior_covariance,
     run_calibration,
     smoothness_prior,
@@ -217,6 +226,60 @@ def test_relaxed_subspace_prior_approaches_the_exact_one_at_rate_s(seed):
         variances = np.array([directional_uncertainty(summary, w) for w in complement])
         assert np.all(variances <= s * (1 + 1e-6))
         assert np.all(variances >= s / (1 + s * sampled_mass / sigma2) * (1 - 1e-6))
+
+
+def _sampled_once(graph, node, value, sigma2):
+    return fuse(smoothness_prior(laplacian(graph), 0.0),
+                partial_observation(SamplingOperator(n=graph.n, nodes=(node,)),
+                                    np.array([value]), sigma2))
+
+
+# sigma2 = 1e-12 is left out: the rank cut there files finite directions of
+# the longer paths as flat
+@pytest.mark.parametrize("n", [64, 300, 1000])
+@pytest.mark.parametrize("sigma2", [1.0, 1e-3, 1e-6])
+def test_a_path_sampled_at_one_end_is_a_random_walk(n, sigma2):
+    summary = _sampled_once(path_graph(n), 0, 0.7, sigma2)
+    assert summary.null_basis.shape[1] == 0
+    # largest relative errors measured: 2.4e-10 (mean), 1.8e-10 (variance)
+    np.testing.assert_allclose(summary.mean, 0.7, rtol=2e-9)
+    np.testing.assert_allclose(node_variances(summary), sigma2 + np.arange(n), rtol=2e-9)
+
+
+def test_a_path_pinned_at_two_nodes_is_a_brownian_bridge_between_them():
+    n, a, b = 400, 50, 300
+    summary = fuse(smoothness_prior(laplacian(path_graph(n)), 0.0),
+                   partial_observation(SamplingOperator(n=n, nodes=(a, b)),
+                                       np.array([0.3, -1.1]), 0.0))
+    k = np.arange(n)
+    bridge = np.where(k < a, a - k, np.where(k > b, k - b, (k - a) * (b - k) / (b - a)))
+    variances = node_variances(summary)
+    assert variances[a] == variances[b] == 0.0
+    # largest errors measured: 4.3e-10 (variance), 6.5e-12 (mean)
+    np.testing.assert_allclose(variances, bridge, rtol=0, atol=5e-9)
+    np.testing.assert_allclose(summary.mean, 0.3 - 1.4 * (np.clip(k, a, b) - a) / (b - a),
+                               rtol=0, atol=5e-11)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-3])
+def test_a_tree_sampled_at_its_root_has_the_depth_of_the_lca_as_covariance(sigma2):
+    rng = np.random.default_rng(7)
+    n = 300
+    parent = [int(rng.integers(0, v)) for v in range(1, n)]
+    graph = Graph.from_edges(n, [(p, v) for v, p in enumerate(parent, start=1)])
+    # ancestors[u, w] = 1 when w != 0 lies on the path from u to the root 0,
+    # so (ancestors @ ancestors.T)[u, v] is the depth of their common ancestor
+    ancestors = np.zeros((n, n))
+    for u in range(1, n):
+        w = u
+        while w:
+            ancestors[u, w] = 1.0
+            w = parent[w - 1]
+    summary = _sampled_once(graph, 0, 2.5, sigma2)
+    # largest errors measured: 2.1e-12 (covariance), 5.2e-13 (mean)
+    np.testing.assert_allclose(posterior_covariance(summary), sigma2 + ancestors @ ancestors.T,
+                               rtol=0, atol=2e-11)
+    np.testing.assert_allclose(summary.mean, 2.5, rtol=0, atol=5e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -16,11 +16,9 @@ from graphbayes import (
     CounterRng,
     ExperimentConfig,
     SamplingOperator,
-    draw_prior_signal,
     full_observation,
     fuse,
     laplacian,
-    observe,
     path_graph,
     grid_graph,
     partial_observation,
@@ -33,7 +31,7 @@ from graphbayes import (
 from graphbayes import _kernels, _rng
 from graphbayes.simulate import _estimator_matrix
 
-from helpers import two_component_graph
+from helpers import draw_prior_signal, observe, two_component_graph
 
 
 @st.composite
@@ -168,10 +166,6 @@ class TestDrawPriorSignal:
         x2 = draw_prior_signal(p2_spectrum, 0.1, CounterRng(3, stream=0))
         np.testing.assert_array_equal(x1, x2)
 
-    def test_requires_positive_eps(self, p2_spectrum):
-        with pytest.raises(ValueError, match="positive"):
-            draw_prior_signal(p2_spectrum, 0.0, CounterRng(3))
-
     def test_empirical_covariance_matches_regularized_inverse(self, p2_spectrum):
         # sample covariance over 1e5 draws against the dense inverse oracle
         eps = 0.1
@@ -223,10 +217,6 @@ class TestObserve:
         a = observe(x, 1.0, None, CounterRng(8, stream=2))
         b = observe(x, 1.0, None, CounterRng(8, stream=2))
         np.testing.assert_array_equal(a, b)
-
-    def test_negative_sigma2_rejected(self):
-        with pytest.raises(ValueError):
-            observe(np.zeros(2), -1.0, None, CounterRng(1))
 
 
 class TestRunCalibration:
@@ -317,12 +307,6 @@ class TestRunCalibration:
         fields[field] = value
         with pytest.raises(ValueError, match=f"^{field}.* must be finite and {rule}"):
             ExperimentConfig(**fields)
-
-    def test_draws_reject_non_finite_parameters(self, p2_spectrum):
-        with pytest.raises(ValueError, match="eps.* must be finite and positive"):
-            draw_prior_signal(p2_spectrum, np.inf, CounterRng(3))
-        with pytest.raises(ValueError, match="sigma2 must be finite and non-negative"):
-            observe(np.zeros(2), np.nan, None, CounterRng(1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials"):

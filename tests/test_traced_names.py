@@ -8,13 +8,14 @@ import os
 
 from graphbayes import (
     ExperimentConfig,
-    exhaustive_select,
     greedy_select,
     grid_graph,
     laplacian,
     run_calibration,
     smoothness_prior,
 )
+
+from helpers import exhaustive_select
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
