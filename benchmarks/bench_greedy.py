@@ -13,9 +13,9 @@ sigma2 = 0. Each case runs in ``--runs`` fresh processes per ``--checkout``
 ``src/`` with one BLAS thread; with two checkouts the order alternates from
 run to run. A process times its first ``greedy_select`` call, the one a
 ``sample-select`` process pays, then repeats the call with
-``sampling_eval``'s names counted: the candidates scored exactly (the
-observations built, less the one per screened round) and the ``fuse``
-calls. The second call must return the same set.
+``sampling_eval``'s names counted: the candidates scored exactly (those
+handed to ``_exact_scores``) and the ``fuse`` calls. The second call must
+return the same set.
 
 One entry per case and checkout is appended to ``BENCH_greedy.json`` at
 the root of this repository: the commit id, whether its ``src/`` differs
@@ -48,21 +48,22 @@ start = time.perf_counter()
 nodes = sampling_eval.greedy_select(prior, budget, sigma2, metric).nodes
 seconds = time.perf_counter() - start
 
-counts = dict.fromkeys(("partial_observation", "_screen", "fuse"), 0)
+counts = dict.fromkeys(("_exact_scores", "fuse"), 0)
+exact_scores, fuse = sampling_eval._exact_scores, sampling_eval.fuse
 
-def counted(name):
-    original = getattr(sampling_eval, name)
-    def call(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-    return call
+def counted_exact_scores(prior, selected, candidates, *args):
+    counts["_exact_scores"] += len(candidates)
+    return exact_scores(prior, selected, candidates, *args)
 
-for name in counts:
-    setattr(sampling_eval, name, counted(name))
+def counted_fuse(*args):
+    counts["fuse"] += 1
+    return fuse(*args)
+
+sampling_eval._exact_scores, sampling_eval.fuse = counted_exact_scores, counted_fuse
 assert sampling_eval.greedy_select(prior, budget, sigma2, metric).nodes == nodes
 print(json.dumps({
     "seconds": seconds, "nodes": list(nodes),
-    "exact_scores": counts["partial_observation"] - counts["_screen"],
+    "exact_scores": counts["_exact_scores"],
     "fuse_calls": counts["fuse"],
     "python": platform.python_version(), "numpy": np.__version__,
 }))

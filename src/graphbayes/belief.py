@@ -14,6 +14,7 @@ additivity is what makes the form convenient.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .graph_core import (
     _require_symmetric,
     _sealed,
 )
-from .inference import RANK_TOL, _symmetrized
+from .inference import RANK_TOL, _add_diagonal, _summed, _symmetrized
 
 __all__ = [
     "GaussianBelief",
@@ -40,23 +41,6 @@ __all__ = [
     "full_observation",
     "partial_observation",
 ]
-
-
-def _add_diagonal(dense, diag):
-    """``dense + np.diag(diag)`` bit for bit, as a read-only array, with one
-    n x n allocation: ``dense + 0.0`` off the diagonal (which turns -0.0
-    into +0.0 as adding a zero does) and ``dense_ii + diag_i`` on it."""
-    out = dense + 0.0
-    np.fill_diagonal(out, dense.diagonal() + diag)
-    return _sealed(out)
-
-
-def _add_precisions(a, b):
-    """Sum of two precisions, each an n x n array or a diagonal vector."""
-    if a.ndim == b.ndim:
-        return _sealed(a + b)
-    dense, diag = (a, b) if a.ndim == 2 else (b, a)
-    return _add_diagonal(dense, diag)
 
 
 @dataclass(frozen=True)
@@ -107,17 +91,7 @@ class GaussianBelief:
         constraint rows and targets are stacked. Two diagonal precisions
         add as vectors; a dense one plus a diagonal one gives the dense sum,
         bit for bit as if the diagonal were dense."""
-        if self.n != other.n:
-            raise ValueError(
-                f"dimension mismatch: {self.n} vs {other.n}"
-            )
-        return GaussianBelief(
-            n=self.n,
-            precision=_add_precisions(self.precision, other.precision),
-            info=self.info + other.info,
-            constraints=_sealed(np.concatenate([self.constraints, other.constraints])),
-            targets=np.concatenate([self.targets, other.targets]),
-        )
+        return GaussianBelief(*_summed(self, other))
 
 
 @dataclass(frozen=True)
@@ -246,19 +220,27 @@ def partial_observation(sampling, observed_s, sigma2):
     unsampled node contributes no information). ``sigma2 = 0`` pins each
     sampled node exactly and leaves the precision zero.
     """
-    n = sampling.n
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
     sigma2 = _as_scalar(sigma2, "sigma2")
     nodes = np.asarray(sampling.nodes, dtype=np.intp)
+    return GaussianBelief(*_observed(sampling.n, nodes, observed_s, sigma2))
+
+
+# The fields of a belief, for arrays that no belief checks or freezes.
+_Fields = namedtuple("_Fields", "n precision info constraints targets")
+
+
+def _observed(n, nodes, observed_s, sigma2):
+    """The fields of :func:`partial_observation` from checked inputs: node
+    ids ``nodes`` as an integer array, a finite ``observed_s`` over them and
+    a float ``sigma2 >= 0``. Greedy selection fuses them as they are, one
+    candidate after another, with no belief in between."""
     if sigma2 == 0:
         pins = np.zeros((nodes.size, n))
         pins[np.arange(nodes.size), nodes] = 1.0
-        return GaussianBelief(
-            n=n, precision=np.zeros(n), info=np.zeros(n),
-            constraints=_sealed(pins), targets=observed_s,
-        )
+        return _Fields(n, np.zeros(n), np.zeros(n), _sealed(pins), observed_s)
     prec = np.zeros(n)
     info = np.zeros(n)
     prec[nodes] = 1.0 / sigma2
     info[nodes] = observed_s / sigma2
-    return GaussianBelief(n=n, precision=prec, info=info)
+    return _Fields(n, prec, info, np.zeros((0, n)), np.zeros(0))

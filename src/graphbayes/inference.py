@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import _as_signal, _frozen
+from .graph_core import _as_signal, _frozen, _require_symmetric, _sealed
 
 __all__ = [
     "PosteriorSummary",
@@ -137,8 +137,54 @@ def _reduce_constraints(c_mat, d_vec):
     return vt[:rank].T, vt[rank:].T, particular
 
 
+def _add_diagonal(dense, diag):
+    """``dense + np.diag(diag)`` bit for bit, as a read-only array, with one
+    n x n allocation: ``dense + 0.0`` off the diagonal (which turns -0.0
+    into +0.0 as adding a zero does) and ``dense_ii + diag_i`` on it."""
+    out = dense + 0.0
+    np.fill_diagonal(out, dense.diagonal() + diag)
+    return _sealed(out)
+
+
+def _add_precisions(a, b):
+    """Sum of two precisions, each an n x n array or a diagonal vector."""
+    if a.ndim == b.ndim:
+        return _sealed(a + b)
+    dense, diag = (a, b) if a.ndim == 2 else (b, a)
+    return _add_diagonal(dense, diag)
+
+
+def _summed(first, second):
+    """The fields ``(n, precision, info, constraints, targets)`` of the
+    belief that fuses ``first`` and ``second``: precisions and information
+    add, constraint rows and targets are stacked. Either may be a belief or
+    any object with those fields holding checked arrays, such as an
+    observation's from ``belief._observed``.
+
+    The sum gets the checks, and the messages, that a belief built from it
+    would run: matching ``n``, a symmetric and finite dense precision or a
+    finite diagonal one, and finite information. Stacked finite rows and
+    targets need none."""
+    if first.n != second.n:
+        raise ValueError(f"dimension mismatch: {first.n} vs {second.n}")
+    precision = _add_precisions(first.precision, second.precision)
+    if precision.ndim == 2:
+        _require_symmetric(precision, name="precision")
+    else:
+        _as_signal(precision, first.n, name="diagonal precision")
+    info = _as_signal(first.info + second.info, first.n, name="information vector")
+    return (first.n, precision, info,
+            _sealed(np.concatenate([first.constraints, second.constraints])),
+            np.concatenate([first.targets, second.targets]))
+
+
 def _restrict(prior, observation):
     """Fuse two beliefs and restrict them to the constraint set.
+
+    ``observation`` may also be the arrays of ``belief._observed``: greedy
+    selection builds each candidate's observation from arrays by index and
+    fuses it here, with no belief per candidate. The sum comes from
+    :func:`_summed`, with the checks a fused belief would run.
 
     Returns the fused precision as an n x n array, the constraint kernel
     basis (``None`` without constraints: the whole space), the constrained
@@ -149,15 +195,14 @@ def _restrict(prior, observation):
     its largest eigenvalue. Projecting onto the kernel does not raise that
     bound, so the same ``tau`` serves the projected precision.
     """
-    fused = prior.combine(observation)
-    precision = fused.precision
+    n, precision, info, constraints, targets = _summed(prior, observation)
     if precision.ndim == 1:  # both parts diagonal
         precision = np.diag(precision)
-    tau = fused.n * RANK_TOL * float(np.linalg.norm(precision, np.inf))
-    if fused.constraints.shape[0] == 0:
-        return precision, None, np.zeros((fused.n, 0)), np.zeros(fused.n), fused.info, tau
-    zero_basis, kernel, particular = _reduce_constraints(fused.constraints, fused.targets)
-    info = kernel.T @ (fused.info - precision @ particular)
+    tau = n * RANK_TOL * float(np.linalg.norm(precision, np.inf))
+    if constraints.shape[0] == 0:
+        return precision, None, np.zeros((n, 0)), np.zeros(n), info, tau
+    zero_basis, kernel, particular = _reduce_constraints(constraints, targets)
+    info = kernel.T @ (info - precision @ particular)
     return precision, kernel, zero_basis, particular, info, tau
 
 
@@ -230,10 +275,15 @@ def fuse(prior, observation):
     ``tau = n RANK_TOL ||P||_inf``, the rounding error eigh commits on an
     ``n x n`` matrix of that size, have finite variance, the others are
     flat, and one below ``-tau`` raises ``ValueError``: the fused precision
-    must be positive semidefinite. The cut scales with ``P``, so neither
-    the units of the signal nor one very precise observation moves the
-    split. The mean is the minimum-norm representative when flat
-    directions exist.
+    must be positive semidefinite. The cut scales with ``P``, so the units
+    of the signal do not move the split. One observation far more precise
+    than the prior does: its ``1/sigma2`` sets ``||P||_inf``, and on a path
+    with ``eps = 0`` sampled once the cut passes the smallest finite
+    eigenvalue, about ``2.5 / n**2``, once ``n**3`` exceeds about
+    ``2.5 sigma2 / RANK_TOL``; a 64-node path at ``sigma2 = 1e-12`` gets 2
+    flat directions and a 2500-node path at ``sigma2 = 1e-6`` gets 1, where
+    there are none (item 1 of ROADMAP.md). The mean is the minimum-norm
+    representative when flat directions exist.
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved

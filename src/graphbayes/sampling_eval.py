@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .belief import SamplingOperator, partial_observation
+from .belief import SamplingOperator, _observed, partial_observation
+from .graph_core import _as_scalar
 from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select"]
@@ -122,7 +123,9 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
 
     ``candidates`` is cut into chunks of at most ``_SLICE_BYTES``, about as
     many per thread. The calling thread builds each chunk's projected
-    precisions, the matrices :func:`fuse` eigendecomposes, and stacks each
+    precisions, the matrices :func:`fuse` eigendecomposes, from each
+    candidate's observation arrays by index (``belief._observed``, no belief
+    per candidate; ``sigma2`` is a checked float), and stacks each
     run of equal kernel size for :func:`_eigen_split`, on up to one thread
     per core; ``eigh`` takes a stack one matrix at a time, so neither the
     chunking nor the thread count moves a bit.
@@ -134,12 +137,15 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     # as many slices for each thread, of as many candidates each
     per_slice = -(-len(candidates) // (workers * -(-slices // workers)))
 
+    observed = np.zeros(len(selected) + 1)
+
     def build():
         for lo in range(0, len(candidates), per_slice):
             chunk = []
             for v in candidates[lo:lo + per_slice]:
+                nodes = np.array(selected + [v], dtype=np.intp)
                 projected, _, zero_basis, _, _, tau = _projected(
-                    prior, _observation(n, selected + [v], sigma2))
+                    prior, _observed(n, nodes, observed, sigma2))
                 chunk.append((projected, tau, zero_basis.shape[1]))
             for _, run in itertools.groupby(chunk, key=lambda built: built[0].shape[0]):
                 matrices, taus, zeros = zip(*run)
@@ -199,8 +205,10 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     estimate by more than the margin; no case checked so far does that.
 
     A round's exact scores are those of one :func:`fuse` per candidate,
-    bit for bit, but computed together: each candidate's projected
-    precision is built on the calling thread, in chunks of at most 1 MiB;
+    bit for bit, but computed together: each candidate's observation is
+    built from arrays by index, with no sampling operator or belief per
+    candidate, and its projected precision on the calling thread, in
+    chunks of at most 1 MiB;
     each run of equal kernel size in a chunk is stacked and eigendecomposed
     by one ``eigh`` call, on up to one thread per core. ``eigh`` takes a
     stack one matrix at a time and the scores are read in candidate order,
@@ -212,6 +220,7 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
     _require_metric(metric)
+    sigma2 = _as_scalar(sigma2, "sigma2")
     selected = []
     remaining = list(range(n))
     for _ in range(budget):

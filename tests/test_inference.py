@@ -217,8 +217,9 @@ class TestFuseClosedForm:
         np.testing.assert_allclose(summary.cov_values, [1.0 / n], rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            fuse(full_observation(np.zeros(2), 1.0), full_observation(np.zeros(3), 1.0))
+        for fused in (fuse, _iterative_map):
+            with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+                fused(full_observation(np.zeros(2), 1.0), full_observation(np.zeros(3), 1.0))
 
 
 class TestPosteriorAccessors:
@@ -545,6 +546,36 @@ class TestSolveMap:
         lap = laplacian(path_graph(2))
         with pytest.raises(ValueError, match="unknown method"):
             solve_map(smoothness_prior(lap, 0.0), full_observation(np.zeros(2), 1.0), "magic")
+
+
+def _iterative_map(prior, observation):
+    return solve_map(prior, observation, method="iterative")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fused", [fuse, _iterative_map])
+class TestFusedSumChecks:
+    """The fused sum is checked as the belief built from it would be, with
+    the same messages, on the closed-form and the iterative path."""
+
+    @pytest.mark.parametrize("first, second, message", [
+        (np.full((2, 2), 1e308), np.full((2, 2), 1e308),
+         "precision contains non-finite entries"),
+        (np.eye(2) * 1e308, np.array([1e308, 0.0]),
+         "precision contains non-finite entries"),
+        (np.array([1e308, 1.0]), np.array([1e308, 1.0]),
+         "diagonal precision contains non-finite entries"),
+    ])
+    def test_overflowing_precision(self, fused, first, second, message):
+        a = GaussianBelief(n=2, precision=first, info=np.zeros(2))
+        b = GaussianBelief(n=2, precision=second, info=np.zeros(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fused(a, b)
+
+    def test_overflowing_information(self, fused):
+        a = GaussianBelief(n=2, precision=np.ones(2), info=np.array([1e308, 0.0]))
+        with pytest.raises(ValueError, match="^information vector contains non-finite entries$"):
+            fused(a, a)
 
 
 class TestLimitConsistency:

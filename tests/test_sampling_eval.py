@@ -143,6 +143,18 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match="budget"):
             greedy_select(prior, 4, 1.0)
 
+    @pytest.mark.parametrize("sigma2", [-1.0, math.nan])
+    def test_bad_noise_variance_raises_before_any_scoring(self, monkeypatch, sigma2):
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        for name in ("_screen", "_exact_scores"):
+            monkeypatch.setattr(sampling_eval, name, never)
+        prior = smoothness_prior(laplacian(path_graph(3)), 0.0)
+        with pytest.raises(ValueError,
+                           match=f"sigma2 must be finite and non-negative, got {sigma2!r}"):
+            greedy_select(prior, 1, sigma2, "trace")
+
     def test_noise_free_selection_collapses_variance(self):
         g = path_graph(4)
         prior = smoothness_prior(laplacian(g), 1e-3)
@@ -394,6 +406,33 @@ class TestStackedExactScores:
         # 81 candidates take more than one slice, hence a pool
         sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
         assert started
+
+    def test_candidates_are_built_by_index_with_no_belief(self, monkeypatch):
+        # every first-round logdet estimate at sigma2 = 1 on the 9x9 grid lies
+        # within the margin, so all 81 candidates are scored exactly; only the
+        # base posterior builds a sampling operator and an observation belief
+        calls = dict.fromkeys(("SamplingOperator", "partial_observation"), 0)
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sampling_eval, name, counted(name, getattr(sampling_eval, name)))
+        scored = []
+        exact_scores = sampling_eval._exact_scores
+
+        def recording(prior, selected, candidates, sigma2, metric):
+            scored.append(list(candidates))
+            return exact_scores(prior, selected, candidates, sigma2, metric)
+
+        monkeypatch.setattr(sampling_eval, "_exact_scores", recording)
+        prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
+        assert sampling_eval._next_node(prior, [], list(range(81)), 1.0, "logdet") == 78
+        assert scored == [list(range(81))]
+        assert calls == {"SamplingOperator": 1, "partial_observation": 1}
 
     def test_sample_select_on_an_8x8_grid_loads_no_thread_pool(self, tmp_path):
         edges = tmp_path / "g.edges"
