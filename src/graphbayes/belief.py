@@ -222,8 +222,7 @@ def partial_observation(sampling, observed_s, sigma2):
     """
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
     sigma2 = _as_scalar(sigma2, "sigma2")
-    nodes = np.asarray(sampling.nodes, dtype=np.intp)
-    return GaussianBelief(*_observed(sampling.n, nodes, observed_s, sigma2))
+    return GaussianBelief(*_observed(sampling.n, sampling.nodes, observed_s, sigma2))
 
 
 # The fields of a belief, for arrays that no belief checks or freezes.
@@ -231,10 +230,11 @@ _Fields = namedtuple("_Fields", "n precision info constraints targets")
 
 
 def _observed(n, nodes, observed_s, sigma2):
-    """The fields of :func:`partial_observation` from checked inputs: node
-    ids ``nodes`` as an integer array, a finite ``observed_s`` over them and
-    a float ``sigma2 >= 0``. Greedy selection fuses them as they are, one
-    candidate after another, with no belief in between."""
+    """The fields of :func:`partial_observation` from checked inputs:
+    distinct node ids ``nodes`` below ``n``, a finite ``observed_s`` over
+    them and a float ``sigma2 >= 0``. Greedy selection fuses them as they
+    are, one candidate after another, with no belief in between."""
+    nodes = np.asarray(nodes, dtype=np.intp)
     if sigma2 == 0:
         pins = np.zeros((nodes.size, n))
         pins[np.arange(nodes.size), nodes] = 1.0

@@ -143,9 +143,8 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
         for lo in range(0, len(candidates), per_slice):
             chunk = []
             for v in candidates[lo:lo + per_slice]:
-                nodes = np.array(selected + [v], dtype=np.intp)
                 projected, _, zero_basis, _, _, tau = _projected(
-                    prior, _observed(n, nodes, observed, sigma2))
+                    prior, _observed(n, selected + [v], observed, sigma2))
                 chunk.append((projected, tau, zero_basis.shape[1]))
             for _, run in itertools.groupby(chunk, key=lambda built: built[0].shape[0]):
                 matrices, taus, zeros = zip(*run)
