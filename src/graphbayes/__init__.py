@@ -8,7 +8,6 @@ exactly and directions about which the data say nothing at all.
 """
 
 from . import belief, graph_core, inference, sampling_eval, simulate
-from ._rng import CounterRng
 from .belief import *  # noqa: F401,F403
 from .graph_core import *  # noqa: F401,F403
 from .inference import *  # noqa: F401,F403
@@ -17,5 +16,5 @@ from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = ["CounterRng", *belief.__all__, *graph_core.__all__, *inference.__all__,
-           *sampling_eval.__all__, *simulate.__all__]
+__all__ = [*belief.__all__, *graph_core.__all__, *inference.__all__, *sampling_eval.__all__,
+           *simulate.__all__]

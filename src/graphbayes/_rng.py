@@ -4,11 +4,11 @@ Uniform variates come from hashing a 64-bit counter with the splitmix64
 finalizer; normal variates apply the Box-Muller transform to consecutive
 uniform pairs. Streams are stateless functions of (seed, stream, counter),
 so any trial can be regenerated in isolation and parallel execution cannot
-change the numbers. The scalar helpers ``mix64`` and ``stream_key`` work on
-Python ints; every array of variates comes from the block functions, so
-single streams and blocks share one hashing and one Box-Muller path. That
-path runs in place in caller-given buffers; ``normals_block`` allocates one
-scratch array per call and reuses it for every block of rows.
+change the numbers. Trial ``t`` of a simulation seeded with ``seed`` has the
+key ``stream_keys(seed, t, t + 1)[0]``; normal pair ``m`` uses counters
+``2 m + 1`` and ``2 m + 2``; the signal normals fill columns ``0 … n - 1``
+and the noise normals start at column ``2 ⌈n / 2⌉``. ``normals_block``
+runs in place in one scratch array per call, reused for every block of rows.
 """
 
 from __future__ import annotations
@@ -21,19 +21,6 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
 _BLOCK_PAIRS = 1 << 15  # Box-Muller pairs per block of rows: 256 KiB per scratch buffer
-
-
-def mix64(z):
-    """splitmix64 finalizer on a Python int (wraps at 64 bits)."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key(seed, stream):
-    """Avalanche-mixed key identifying substream ``stream`` of ``seed``."""
-    return mix64((seed + (stream + 1) * GOLDEN) & _MASK)
 
 
 def _mix_u64(z, spare):
@@ -54,19 +41,14 @@ def _mix_u64(z, spare):
 
 
 def stream_keys(seed, start, stop):
-    """Vectorized ``stream_key`` for streams ``start .. stop-1``."""
+    """Keys of streams ``start .. stop-1``: splitmix64 of ``seed + (t + 1) * GOLDEN``."""
     idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)
     return _mix_u64(z, np.empty_like(z))
 
 
-def uniforms(key, start, count):
-    """``count`` uniforms in (0, 1) at counter positions ``start`` on."""
-    return uniforms_block(np.array([key], dtype=np.uint64), start, count)[0]
-
-
 def uniforms_block(keys, start, count):
-    """Row r holds ``uniforms(keys[r], start, count)``."""
+    """Row r holds the ``count`` uniforms in (0, 1) of ``keys[r]`` from counter ``start + 1``."""
     offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     out = np.empty((keys.shape[0], count), dtype=np.uint64)
     return _unit(keys, offsets, out, np.empty_like(out))
@@ -88,14 +70,9 @@ def _unit(keys, offsets, out, spare):
     return u
 
 
-def normals(key, start_pair, count):
-    """``count`` standard normals; pair ``m`` consumes uniform counters
-    ``2 m`` and ``2 m + 1`` offset by ``2 * start_pair``."""
-    return normals_block(np.array([key], dtype=np.uint64), start_pair, count)[0]
-
-
 def normals_block(keys, start_pair, count, out=None):
-    """Row r holds ``normals(keys[r], start_pair, count)``.
+    """Row r holds ``count`` standard normals of ``keys[r]`` from pair
+    ``start_pair`` on; pair ``m`` takes counters ``2 m + 1`` and ``2 m + 2``.
 
     ``out``, if given, is a float64 array of shape ``(len(keys), 2 * pairs)``
     with ``pairs = (count + 1) // 2``; the normals are written into it and
@@ -129,25 +106,3 @@ def normals_block(keys, start_pair, count, out=None):
         np.sin(angle, out=trig)
         np.multiply(radius, trig, out=out[lo:lo + step, 1::2])
     return out[:, :count]
-
-
-class CounterRng:
-    """Stateful cursor over one substream; draws advance in whole pairs.
-
-    ``CounterRng(seed, stream=t)`` regenerates the exact stream used for
-    trial ``t`` of a simulation seeded with ``seed``.
-    """
-
-    def __init__(self, seed, stream=0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._key = stream_key(self.seed, self.stream)
-        self._pair_cursor = 0
-
-    def normals(self, count):
-        """Draw ``count`` standard normals, advancing the cursor."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        out = normals(self._key, self._pair_cursor, count)
-        self._pair_cursor += (count + 1) // 2
-        return out

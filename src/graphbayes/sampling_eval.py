@@ -69,10 +69,6 @@ def _posterior(prior, nodes, sigma2):
     return fuse(prior, _observation(prior.n, nodes, sigma2))
 
 
-def _score(prior, nodes, sigma2, metric):
-    return covariance_metric(_posterior(prior, nodes, sigma2), metric)
-
-
 def _screen(base, sigma2, metric):
     """Closed-form ``trace`` or ``logdet`` score of adding each node to the
     sampling set behind ``base``, with the size of the base score that
@@ -118,8 +114,8 @@ def _screen(base, sigma2, metric):
 
 
 def _exact_scores(prior, selected, candidates, sigma2, metric):
-    """``_score(prior, selected + [v], sigma2, metric)`` for each ``v`` of
-    ``candidates``, bit for bit, from stacked eigendecompositions.
+    """The ``covariance_metric`` of ``_posterior(prior, selected + [v], sigma2)``
+    for each ``v`` of ``candidates``, bit for bit, from stacked eigendecompositions.
 
     ``candidates`` is cut into chunks of at most ``_SLICE_BYTES``, about as
     many per thread. The calling thread builds each chunk's projected

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from graphbayes import Graph, SamplingOperator, sampling_eval
+from graphbayes import Graph, SamplingOperator, _rng, sampling_eval
 
 
 def random_graph(rng, n, edge_prob=0.3):
@@ -64,14 +64,20 @@ def two_component_graph():
     return Graph.from_edges(10, edges)
 
 
+def score(prior, nodes, sigma2, metric):
+    """The covariance metric of one ``fuse`` of ``prior`` with zero data on
+    ``nodes``. Both steps are looked up through ``sampling_eval``, so that a
+    name rebound there is called."""
+    return sampling_eval.covariance_metric(sampling_eval._posterior(prior, nodes, sigma2), metric)
+
+
 def reference_greedy(prior, budget, sigma2, metric="trace"):
     """Greedy selection that scores every candidate with one ``fuse``, the
     rule ``greedy_select`` must reproduce set for set."""
     selected = []
     remaining = list(range(prior.n))
     for _ in range(budget):
-        best_node = min(remaining, key=lambda v: sampling_eval._score(
-            prior, selected + [v], sigma2, metric))
+        best_node = min(remaining, key=lambda v: score(prior, selected + [v], sigma2, metric))
         selected.append(best_node)
         remaining.remove(best_node)
     return tuple(sorted(selected))
@@ -80,27 +86,63 @@ def reference_greedy(prior, budget, sigma2, metric="trace"):
 def exhaustive_select(prior, budget, sigma2, metric="trace"):
     """Exact minimizer over all size-``budget`` subsets, one ``fuse`` each:
     exponential, an oracle for the greedy baseline on a dozen nodes or
-    fewer. Bit-identical scores go to the lexicographically smallest set.
-    The scores are looked up through ``sampling_eval``, so that a name
-    rebound there is called."""
+    fewer. Bit-identical scores go to the lexicographically smallest set."""
     best_set = min(itertools.combinations(range(prior.n), budget),
-                   key=lambda nodes: sampling_eval._score(prior, nodes, sigma2, metric))
+                   key=lambda nodes: score(prior, nodes, sigma2, metric))
     return SamplingOperator(n=prior.n, nodes=best_set)
+
+
+# splitmix64's constants (Steele, Lea & Flood, OOPSLA 2014), restated here
+# so that the scalar reference below does not read them from the library
+_MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """splitmix64 finalizer on a Python int (wraps at 64 bits): the scalar
+    reference that the library's uint64 array path is checked against."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def stream_key(seed, stream):
+    """Key of substream ``stream`` of ``seed``, from Python ints."""
+    return mix64((seed + (stream + 1) * GOLDEN) & _MASK)
+
+
+class TrialStream:
+    """The normals of trial ``trial`` of a simulation seeded with ``seed``,
+    in the layout of ``_kernels.calibration_mse``: the trial's key is
+    ``stream_keys(seed, trial, trial + 1)[0]``, and each draw starts at the
+    pair after the last one drawn, so the signal's n normals come from
+    pair 0 and the noise normals from pair ⌈n/2⌉ (column 2⌈n/2⌉)."""
+
+    def __init__(self, seed, trial=0):
+        self.keys = _rng.stream_keys(seed, trial, trial + 1)
+        self.pair = 0
+
+    def normals(self, count):
+        out = _rng.normals_block(self.keys, self.pair, count)[0]
+        self.pair += (count + 1) // 2
+        return out
 
 
 def draw_prior_signal(spectrum, eps, rng):
     """One signal from the regularized smoothness prior, ``vectors @ (xi /
-    sqrt(values + eps))`` with ``xi`` standard normal from ``rng``: one
-    trial of the calibration kernel, whose covariance is ``(L + eps I)^-1``."""
+    sqrt(values + eps))`` with ``xi`` standard normal from the
+    :class:`TrialStream` ``rng``: one trial of the calibration kernel, whose
+    covariance is ``(L + eps I)^-1``."""
     scale = 1.0 / np.sqrt(spectrum.values + eps)
     return spectrum.vectors @ (scale * rng.normals(spectrum.n))
 
 
 def observe(signal, sigma2, sampling, rng):
     """``signal`` on the nodes of ``sampling`` (every node when None) plus
-    noise of variance ``sigma2`` from ``rng``, which gives the same number
-    of variates whatever ``sigma2``: one trial's observation in the
-    calibration kernel."""
+    noise of variance ``sigma2`` from the :class:`TrialStream` ``rng``, which
+    gives the same number of variates whatever ``sigma2``: one trial's
+    observation in the calibration kernel."""
     sampled = signal if sampling is None else signal[list(sampling.nodes)]
     return sampled + np.sqrt(sigma2) * rng.normals(sampled.shape[0])
 

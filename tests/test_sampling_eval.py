@@ -38,6 +38,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     reference_greedy,
+    score,
     two_component_graph,
 )
 
@@ -228,7 +229,7 @@ class TestScreenedGreedy:
             rest = [v for v in range(4) if v not in first]
             estimates, _ = sampling_eval._screen(
                 sampling_eval._posterior(prior, first, 0.0), 0.0, "trace")
-            assert all(sampling_eval._score(prior, first + (v,), 0.0, "trace") == 0.0
+            assert all(score(prior, first + (v,), 0.0, "trace") == 0.0
                        for v in rest)
             zero_best_rounds += estimates[rest].min() == 0.0 < estimates[rest[0]]
             assert greedy_select(prior, 2, 0.0).nodes == reference_greedy(prior, 2, 0.0)
@@ -245,7 +246,7 @@ class TestScreenedGreedy:
         prior = smoothness_prior(laplacian(g), 1e-13)
         base = sampling_eval._posterior(prior, [], 1e-2)
         assert np.argmin(sampling_eval._screen(base, 1e-2, metric)[0]) != 0
-        assert all(sampling_eval._score(prior, [v], 1e-2, metric) == math.inf
+        assert all(score(prior, [v], 1e-2, metric) == math.inf
                    for v in range(g.n))
         selection = greedy_select(prior, 3, 1e-2, metric)
         assert selection.nodes[0] == 0

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphbayes import (
-    CounterRng,
     ExperimentConfig,
     SamplingOperator,
     full_observation,
@@ -31,7 +30,8 @@ from graphbayes import (
 from graphbayes import _kernels, _rng
 from graphbayes.simulate import _estimator_matrix
 
-from helpers import draw_prior_signal, observe, two_component_graph
+from helpers import (GOLDEN, TrialStream, draw_prior_signal, mix64, observe, stream_key,
+                     two_component_graph)
 
 
 @st.composite
@@ -50,27 +50,17 @@ def p2_spectrum():
 
 class TestCounterStreams:
     def test_fixed_seed_is_bit_identical(self):
-        a = CounterRng(123, stream=4).normals(100)
-        b = CounterRng(123, stream=4).normals(100)
+        a = TrialStream(123, 4).normals(100)
+        b = TrialStream(123, 4).normals(100)
         np.testing.assert_array_equal(a, b)
 
     def test_streams_are_distinct(self):
-        a = CounterRng(123, stream=0).normals(100)
-        b = CounterRng(123, stream=1).normals(100)
+        a = TrialStream(123, 0).normals(100)
+        b = TrialStream(123, 1).normals(100)
         assert np.max(np.abs(a - b)) > 0.1
 
-    def test_consecutive_draws_advance_cursor(self):
-        rng = CounterRng(9)
-        first = rng.normals(4)
-        second = rng.normals(4)
-        assert np.max(np.abs(first - second)) > 0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="count must be non-negative"):
-            CounterRng(9).normals(-1)
-
     def test_uniforms_stay_inside_open_interval(self):
-        u = _rng.uniforms(_rng.stream_key(7, 0), 0, 100000)
+        u = _rng.uniforms_block(_rng.stream_keys(7, 0, 1), 0, 100000)[0]
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
         assert abs(np.mean(u) - 0.5) < 0.005
@@ -78,13 +68,14 @@ class TestCounterStreams:
     def test_vectorized_keys_match_scalar_path(self):
         keys = _rng.stream_keys(99, 0, 50)
         for t in range(50):
-            assert int(keys[t]) == _rng.stream_key(99, t)
+            assert int(keys[t]) == stream_key(99, t)
 
     def test_block_normals_match_per_stream_normals(self):
         keys = _rng.stream_keys(5, 0, 8)
         block = _rng.normals_block(keys, 0, 7)
         for t in range(8):
-            np.testing.assert_array_equal(block[t], _rng.normals(_rng.stream_key(5, t), 0, 7))
+            row = _rng.normals_block(np.array([stream_key(5, t)], dtype=np.uint64), 0, 7)[0]
+            np.testing.assert_array_equal(block[t], row)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**64 - 1), _block_shapes(), st.integers(0, 2**20), st.booleans())
@@ -101,7 +92,8 @@ class TestCounterStreams:
         if given_out:  # written into `out`, which started as NaN
             np.testing.assert_array_equal(out[:, :count].view(np.uint64), block.view(np.uint64))
         for t in range(rows):
-            row = _rng.normals(_rng.stream_key(seed, t), start_pair, count)
+            key = np.array([stream_key(seed, t)], dtype=np.uint64)
+            row = _rng.normals_block(key, start_pair, count)[0]
             np.testing.assert_array_equal(block[t].view(np.uint64), row.view(np.uint64))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -111,7 +103,7 @@ class TestCounterStreams:
         # the pure-Python definition: counter c of key k is the top 53 bits
         # of mix64(k + c * GOLDEN), centred in its interval of width 2**-53
         block = _rng.uniforms_block(np.array(keys, dtype=np.uint64), start, count)
-        oracle = [[((_rng.mix64(k + c * _rng.GOLDEN) >> 11) + 0.5) * 2.0 ** -53
+        oracle = [[((mix64(k + c * GOLDEN) >> 11) + 0.5) * 2.0 ** -53
                    for c in range(start + 1, start + count + 1)] for k in keys]
         assert [[u.hex() for u in row] for row in block.tolist()] == [
             [u.hex() for u in row] for row in oracle]
@@ -123,12 +115,13 @@ class TestCounterStreams:
         assert [int(k) for k in keys] == [
             4824385676517010403, 583982616703494564, 15398599001720869627,
         ]
-        assert [float(z).hex() for z in CounterRng(123, stream=4).normals(5)] == [
+        assert [float(z).hex() for z in TrialStream(123, 4).normals(5)] == [
             "0x1.7d6308586f99bp-1", "0x1.f0a99f8e11441p-2",
             "-0x1.806c60e2a583ap-3", "0x1.85b85b40f5a1bp-3",
             "0x1.73526cd828161p+0",
         ]
-        assert [float(u).hex() for u in _rng.uniforms(_rng.stream_key(7, 0), 3, 3)] == [
+        uniforms = _rng.uniforms_block(_rng.stream_keys(7, 0, 1), 3, 3)[0]
+        assert [float(u).hex() for u in uniforms] == [
             "0x1.355e43b052dc4p-1", "0x1.646972a582333p-2", "0x1.7551f69e6c4cap-3",
         ]
 
@@ -162,8 +155,8 @@ class TestCounterStreams:
 
 class TestDrawPriorSignal:
     def test_fixed_seed_reproducible(self, p2_spectrum):
-        x1 = draw_prior_signal(p2_spectrum, 0.1, CounterRng(3, stream=0))
-        x2 = draw_prior_signal(p2_spectrum, 0.1, CounterRng(3, stream=0))
+        x1 = draw_prior_signal(p2_spectrum, 0.1, TrialStream(3, 0))
+        x2 = draw_prior_signal(p2_spectrum, 0.1, TrialStream(3, 0))
         np.testing.assert_array_equal(x1, x2)
 
     def test_empirical_covariance_matches_regularized_inverse(self, p2_spectrum):
@@ -177,7 +170,7 @@ class TestDrawPriorSignal:
         xi = _rng.normals_block(keys, 0, 2)
         signals = (xi / np.sqrt(p2_spectrum.values + eps)) @ p2_spectrum.vectors.T
         for t in (0, 1, 777):
-            direct = draw_prior_signal(p2_spectrum, eps, CounterRng(2024, stream=t))
+            direct = draw_prior_signal(p2_spectrum, eps, TrialStream(2024, t))
             np.testing.assert_allclose(signals[t], direct, atol=1e-12)
         sample_cov = signals.T @ signals / draws
         assert np.max(np.abs(sample_cov - oracle) / np.abs(oracle)) < 0.03
@@ -198,7 +191,7 @@ class TestObserve:
     def test_noiseless_observation_is_exact_restriction(self):
         x = np.array([1.0, -2.0, 3.0])
         op = SamplingOperator(n=3, nodes=(2, 0))
-        out = observe(x, 0.0, op, CounterRng(5))
+        out = observe(x, 0.0, op, TrialStream(5))
         np.testing.assert_array_equal(out, [3.0, 1.0])
 
     def test_full_observation_noise_variance(self):
@@ -208,14 +201,14 @@ class TestObserve:
         noise = np.sqrt(2.5) * _rng.normals_block(keys, 0, 2)
         # same stream positions as observe() consuming after no signal draw
         for t in (0, 5):
-            direct = observe(x, 2.5, None, CounterRng(31, stream=t))
+            direct = observe(x, 2.5, None, TrialStream(31, t))
             np.testing.assert_allclose(direct, noise[t], atol=1e-12)
         assert abs(np.var(noise.ravel()) - 2.5) / 2.5 < 0.03
 
     def test_reproducibility(self):
         x = np.ones(4)
-        a = observe(x, 1.0, None, CounterRng(8, stream=2))
-        b = observe(x, 1.0, None, CounterRng(8, stream=2))
+        a = observe(x, 1.0, None, TrialStream(8, 2))
+        b = observe(x, 1.0, None, TrialStream(8, 2))
         np.testing.assert_array_equal(a, b)
 
 
@@ -234,10 +227,23 @@ class TestRunCalibration:
         report = run_calibration(cfg)
         lap = laplacian(path_graph(2))
         spectrum = spectral_decomposition(lap)
-        rng = CounterRng(3, stream=0)
+        rng = TrialStream(3, 0)
         x = draw_prior_signal(spectrum, 0.1, rng)
         xbar = observe(x, 1.0, None, rng)
         estimate = fuse(smoothness_prior(lap, 0.1), full_observation(xbar, 1.0)).mean
+        np.testing.assert_allclose(report.mse, (estimate - x) ** 2, rtol=1e-10)
+
+    def test_one_sampled_trial_on_an_odd_path_reads_the_noise_after_the_signal(self):
+        # n = 3 leaves column 3 of the trial's draw unused: the noise
+        # normals start at column 4, the pair after the signal's last one
+        g, op = path_graph(3), SamplingOperator(n=3, nodes=(0, 2))
+        cfg = ExperimentConfig(graph=g, eps=0.1, sigma2=0.5, trials=1, seed=4, sampling=op.nodes)
+        report = run_calibration(cfg)
+        lap = laplacian(g)
+        rng = TrialStream(4, 0)
+        x = draw_prior_signal(spectral_decomposition(lap), 0.1, rng)
+        xbar = observe(x, 0.5, op, rng)
+        estimate = fuse(smoothness_prior(lap, 0.1), partial_observation(op, xbar, 0.5)).mean
         np.testing.assert_allclose(report.mse, (estimate - x) ** 2, rtol=1e-10)
 
     def test_report_is_bit_identical_across_runs(self):
@@ -407,7 +413,7 @@ class TestCalibrationKernel:
         draw = _rng.normals_block
 
         def fail_on_second_chunk(keys, *args, **kwargs):
-            if int(keys[0]) == _rng.stream_key(5, 256):
+            if int(keys[0]) == stream_key(5, 256):
                 raise MemoryError("chunk 1")
             return draw(keys, *args, **kwargs)
 
@@ -434,7 +440,7 @@ class TestCalibrationKernel:
         # the chunks started after the failure are counted, not raced
         monkeypatch.setattr(_kernels, "_cores", lambda: 2)
         draw = _rng.normals_block
-        first_keys = {_rng.stream_key(6, 256 * chunk): chunk for chunk in range(41)}
+        first_keys = {stream_key(6, 256 * chunk): chunk for chunk in range(41)}
         started = []
 
         def slow_or_failing(keys, *args, **kwargs):
