@@ -8,8 +8,9 @@ observations and the exact subspace prior keep that form, so a belief
 holds at most one n x n array. The constraints represent directions of
 infinite precision, so the zero-noise and exact-subspace limits are stored
 symbolically instead of as very large numbers. Fusing two beliefs adds
-precisions and information vectors and stacks the constraint rows; that
-additivity is what makes the form convenient.
+precisions and information vectors and stacks the constraint rows. This
+module states that sum and the rules of a belief's fields, once each;
+``inference`` imports both to fuse, and this module imports no fusion.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
+    RANK_TOL,
     _as_index,
     _as_scalar,
     _as_signal,
@@ -28,8 +30,8 @@ from .graph_core import (
     _require_square,
     _require_symmetric,
     _sealed,
+    _symmetrized,
 )
-from .inference import RANK_TOL, _add_diagonal, _summed, _symmetrized
 
 __all__ = [
     "GaussianBelief",
@@ -41,6 +43,30 @@ __all__ = [
     "full_observation",
     "partial_observation",
 ]
+
+
+# The fields of a belief, for arrays that no belief checks or freezes.
+_Fields = namedtuple("_Fields", "n precision info constraints targets")
+
+
+def _checked(n, precision, info, constraints, targets):
+    """The fields of a belief over R^n as float64 arrays, once they pass its
+    rules, stated here only; raises ``ValueError`` naming the first field
+    that breaks one. A belief runs it, and so does every sum ``inference`` fuses."""
+    prec = np.asarray(precision, dtype=np.float64)
+    if prec.ndim == 1:
+        prec = _as_signal(prec, n, name="diagonal precision")
+        if np.any(prec < 0):
+            raise ValueError("diagonal precision has negative entries")
+    else:
+        prec = _require_symmetric(prec, name="precision")
+        if prec.shape != (n, n):
+            raise ValueError(f"precision must be {n}x{n}")
+    info = _as_signal(info, n, name="information vector")
+    rows = np.asarray(constraints, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n or not np.all(np.isfinite(rows)):
+        raise ValueError(f"constraints must be a finite (k, {n}) array")
+    return _Fields(n, prec, info, rows, _as_signal(targets, rows.shape[0], "constraint targets"))
 
 
 @dataclass(frozen=True)
@@ -65,33 +91,44 @@ class GaussianBelief:
     targets: np.ndarray = None
 
     def __post_init__(self):
-        prec = np.asarray(self.precision, dtype=np.float64)
-        if prec.ndim == 1:
-            prec = _as_signal(prec, self.n, name="diagonal precision")
-            if np.any(prec < 0):
-                raise ValueError("diagonal precision has negative entries")
-        else:
-            prec = _require_symmetric(prec, name="precision")
-            if prec.shape != (self.n, self.n):
-                raise ValueError(f"precision must be {self.n}x{self.n}")
-        info = _as_signal(self.info, self.n, name="information vector")
         rows = np.zeros((0, self.n)) if self.constraints is None else self.constraints
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.n or not np.all(np.isfinite(rows)):
-            raise ValueError(f"constraints must be a finite (k, {self.n}) array")
         targets = np.zeros(0) if self.targets is None else self.targets
-        targets = _as_signal(targets, rows.shape[0], name="constraint targets")
-        object.__setattr__(self, "precision", _frozen(prec))
-        object.__setattr__(self, "info", _frozen(info))
-        object.__setattr__(self, "constraints", _frozen(rows))
-        object.__setattr__(self, "targets", _frozen(targets))
+        checked = _checked(self.n, self.precision, self.info, rows, targets)
+        for name in _Fields._fields[1:]:
+            object.__setattr__(self, name, _frozen(getattr(checked, name)))
 
     def combine(self, other):
-        """Fuse with another belief: precisions and information add,
-        constraint rows and targets are stacked. Two diagonal precisions
-        add as vectors; a dense one plus a diagonal one gives the dense sum,
-        bit for bit as if the diagonal were dense."""
+        """Fuse with another belief: precisions and information add (a
+        dense precision plus a diagonal one is their dense sum, bit for bit),
+        constraint rows and targets are stacked, and the sum is checked once."""
         return GaussianBelief(*_summed(self, other))
+
+
+def _add_precisions(a, b):
+    """Sum of two precisions, each an n x n array or a diagonal vector, as a
+    sealed array. Dense plus diagonal is ``dense + np.diag(diag)`` bit for
+    bit with one n x n allocation: ``dense + 0.0`` off the diagonal (which
+    turns -0.0 into +0.0 as adding a zero does) and ``dense_ii + diag_i`` on it."""
+    if a.ndim == b.ndim:
+        return _sealed(a + b)
+    dense, diag = (a, b) if a.ndim == 2 else (b, a)
+    out = dense + 0.0
+    np.fill_diagonal(out, dense.diagonal() + diag)
+    return _sealed(out)
+
+
+def _summed(first, second):
+    """The unchecked fields of the belief that fuses ``first`` and
+    ``second``: precisions and information add, constraint rows and
+    targets are stacked. Either may be a belief or the ``_Fields`` of one,
+    such as an observation's from :func:`_observed`. Only their ``n`` are
+    compared here; :func:`_checked` states the rest."""
+    if first.n != second.n:
+        raise ValueError(f"dimension mismatch: {first.n} vs {second.n}")
+    return _Fields(first.n, _add_precisions(first.precision, second.precision),
+                   first.info + second.info,
+                   _sealed(np.concatenate([first.constraints, second.constraints])),
+                   np.concatenate([first.targets, second.targets]))
 
 
 @dataclass(frozen=True)
@@ -156,7 +193,7 @@ def smoothness_prior(lap, eps=0.0):
     lap = _require_square(lap, name="laplacian")
     eps = _as_scalar(eps, "eps")
     n = lap.shape[0]
-    precision = lap if eps == 0 else _add_diagonal(lap, np.full(n, eps))
+    precision = lap if eps == 0 else _add_precisions(lap, np.full(n, eps))
     return GaussianBelief(n=n, precision=precision, info=np.zeros(n))
 
 
@@ -183,7 +220,9 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
     taken exactly: every direction orthogonal to the subspace becomes a hard
     constraint pinned to zero and the finite precision part vanishes, so
     on-subspace directions carry no information at all; it is held as a
-    zero diagonal vector.
+    zero diagonal vector. That limit has no ridge: with ``eps > 0`` the
+    relaxed form pins the whole signal as ``sigma2_prior`` falls to 0, not
+    just the complement, so ``eps`` other than 0 raises ``ValueError`` there.
     """
     sigma2_prior, eps = _as_scalar(sigma2_prior, "sigma2_prior"), _as_scalar(eps, "eps")
     u = subspace.basis
@@ -192,6 +231,8 @@ def subspace_prior(subspace, sigma2_prior=0.0, eps=0.0):
         prec = ((1.0 + eps) * np.eye(n) - u @ u.T) / sigma2_prior
         _symmetrized(prec, out=prec)
         return GaussianBelief(n=n, precision=prec, info=np.zeros(n))
+    if eps != 0:
+        raise ValueError(f"eps applies to sigma2_prior > 0 only, got eps={eps!r}")
     # the columns of u are orthonormal, so u.T has rank subspace.dim
     complement = np.linalg.svd(u.T)[2][subspace.dim:]
     return GaussianBelief(
@@ -223,10 +264,6 @@ def partial_observation(sampling, observed_s, sigma2):
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
     sigma2 = _as_scalar(sigma2, "sigma2")
     return GaussianBelief(*_observed(sampling.n, sampling.nodes, observed_s, sigma2))
-
-
-# The fields of a belief, for arrays that no belief checks or freezes.
-_Fields = namedtuple("_Fields", "n precision info constraints targets")
 
 
 def _observed(n, nodes, observed_s, sigma2):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RANK_TOL",
     "Graph",
     "GraphFormatError",
     "Spectrum",
@@ -39,6 +40,16 @@ class GraphFormatError(ValueError):
 
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 _SYMMETRY_TOL = 1e-12  # asymmetry allowed, relative to a matrix's largest |entry|
+
+# The one rank rule, from rounding error: a computed eigenvalue or singular
+# value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
+# so one at most that counts as zero, with |A| a bound on the largest. It
+# splits finite from infinite variance in fuse and conjugate gradient and
+# decides whether the iterative maximizer is unique (|P| is the largest
+# absolute row sum of the fused precision); it sets the rank of exact
+# constraints (|A| the largest singular value), of the sampled rows of an
+# orthonormal n x dim basis U (|U| = 1) and bandlimit_basis's cut (|A| = max|λ|).
+RANK_TOL = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -208,6 +219,26 @@ def _require_symmetric(mat, name="matrix"):
     if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > _SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric to {_SYMMETRY_TOL} times its largest |entry|")
     return mat
+
+
+def _binary_exponent(values, axis=None):
+    """Exponent ``e`` that puts the largest |entry| of ``values * 2**-e``
+    (along ``axis``) in [1/2, 1), and 0 for zeros: dividing by ``2**e`` is
+    exact, so it moves the values' units to about 1 and no bit."""
+    peak = np.maximum(np.max(values, axis=axis, initial=0.0),
+                      -np.min(values, axis=axis, initial=0.0))
+    return np.frexp(peak)[1]
+
+
+def _symmetrized(matrix, out=None):
+    """``(matrix + matrix.T) / 2``, written to ``out`` when given; halved
+    before the sum when an entry reaches 2**1023, where the sum overflows."""
+    if _binary_exponent(matrix) > 1023:
+        half = np.multiply(matrix, 0.5, out=out)
+        return np.add(half, half.T, out=half)
+    out = np.add(matrix, matrix.T, out=out)
+    out *= 0.5
+    return out
 
 
 def _require_orthonormal(basis, name="basis"):

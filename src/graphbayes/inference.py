@@ -1,8 +1,9 @@
 """Posterior formation and uncertainty queries for fused Gaussian beliefs.
 
-The posterior of a prior belief fused with an observation belief is a
-Gaussian restricted to the affine set cut out by the exact constraints. Its
-signal space splits into three mutually orthogonal parts:
+The posterior of a prior belief fused with an observation belief, their
+sum as ``belief`` forms and checks it, is a Gaussian restricted to the
+affine set cut out by the exact constraints. Its signal space splits into
+three mutually orthogonal parts:
 
 * ``zero_basis``  - directions fixed exactly by constraints (zero variance),
 * ``cov_basis``   - directions with finite positive variance,
@@ -22,7 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import _as_signal, _frozen, _require_symmetric, _sealed
+from .belief import _checked, _summed
+from .graph_core import RANK_TOL, _as_signal, _binary_exponent, _frozen, _symmetrized
 
 __all__ = [
     "PosteriorSummary",
@@ -31,7 +33,6 @@ __all__ = [
     "SolverDivergenceError",
     "NonUniqueSolutionWarning",
     "DegradedRankWarning",
-    "RANK_TOL",
     "DIRECTION_TOL",
     "fuse",
     "posterior_covariance",
@@ -42,16 +43,6 @@ __all__ = [
     "perfect_reconstruct",
     "is_perfectly_reconstructible",
 ]
-
-# The one rank rule, from rounding error: a computed eigenvalue or singular
-# value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
-# so one at most that counts as zero, with |A| a bound on the largest. It
-# splits finite from infinite variance in fuse and conjugate gradient and
-# decides whether the iterative maximizer is unique (|P| is the largest
-# absolute row sum of the fused precision); it sets the rank of exact
-# constraints (|A| the largest singular value), of the sampled rows of an
-# orthonormal n x dim basis U (|U| = 1) and bandlimit_basis's cut (|A| = max|λ|).
-RANK_TOL = float(np.finfo(np.float64).eps)
 
 # Tolerance on the component of a query direction inside the flat subspace.
 DIRECTION_TOL = 1e-8
@@ -137,54 +128,13 @@ def _reduce_constraints(c_mat, d_vec):
     return vt[:rank].T, vt[rank:].T, particular
 
 
-def _add_diagonal(dense, diag):
-    """``dense + np.diag(diag)`` bit for bit, as a read-only array, with one
-    n x n allocation: ``dense + 0.0`` off the diagonal (which turns -0.0
-    into +0.0 as adding a zero does) and ``dense_ii + diag_i`` on it."""
-    out = dense + 0.0
-    np.fill_diagonal(out, dense.diagonal() + diag)
-    return _sealed(out)
-
-
-def _add_precisions(a, b):
-    """Sum of two precisions, each an n x n array or a diagonal vector."""
-    if a.ndim == b.ndim:
-        return _sealed(a + b)
-    dense, diag = (a, b) if a.ndim == 2 else (b, a)
-    return _add_diagonal(dense, diag)
-
-
-def _summed(first, second):
-    """The fields ``(n, precision, info, constraints, targets)`` of the
-    belief that fuses ``first`` and ``second``: precisions and information
-    add, constraint rows and targets are stacked. Either may be a belief or
-    any object with those fields holding checked arrays, such as an
-    observation's from ``belief._observed``.
-
-    The sum gets the checks, and the messages, that a belief built from it
-    would run: matching ``n``, a symmetric and finite dense precision or a
-    finite diagonal one, and finite information. Stacked finite rows and
-    targets need none."""
-    if first.n != second.n:
-        raise ValueError(f"dimension mismatch: {first.n} vs {second.n}")
-    precision = _add_precisions(first.precision, second.precision)
-    if precision.ndim == 2:
-        _require_symmetric(precision, name="precision")
-    else:
-        _as_signal(precision, first.n, name="diagonal precision")
-    info = _as_signal(first.info + second.info, first.n, name="information vector")
-    return (first.n, precision, info,
-            _sealed(np.concatenate([first.constraints, second.constraints])),
-            np.concatenate([first.targets, second.targets]))
-
-
 def _restrict(prior, observation):
     """Fuse two beliefs and restrict them to the constraint set.
 
-    ``observation`` may also be the arrays of ``belief._observed``: greedy
+    ``observation`` may also be the fields of ``belief._observed``: greedy
     selection builds each candidate's observation from arrays by index and
-    fuses it here, with no belief per candidate. The sum comes from
-    :func:`_summed`, with the checks a fused belief would run.
+    fuses it here, with no belief per candidate. The sum is checked once,
+    by ``belief._checked``.
 
     Returns the fused precision as an n x n array, the constraint kernel
     basis (``None`` without constraints: the whole space), the constrained
@@ -195,7 +145,7 @@ def _restrict(prior, observation):
     its largest eigenvalue. Projecting onto the kernel does not raise that
     bound, so the same ``tau`` serves the projected precision.
     """
-    n, precision, info, constraints, targets = _summed(prior, observation)
+    n, precision, info, constraints, targets = _checked(*_summed(prior, observation))
     if precision.ndim == 1:  # both parts diagonal
         precision = np.diag(precision)
     tau = n * RANK_TOL * float(np.linalg.norm(precision, np.inf))
@@ -211,17 +161,6 @@ def _indefinite(curvature, tau):
         "fused precision is indefinite: curvature "
         f"{curvature:.3e} lies below -tau = {-tau:.3e}"
     )
-
-
-def _symmetrized(matrix, out=None):
-    """``(matrix + matrix.T) / 2``, written to ``out`` when given; halved
-    before the sum when an entry reaches 2**1023, where the sum overflows."""
-    if _binary_exponent(matrix) > 1023:
-        half = np.multiply(matrix, 0.5, out=out)
-        return np.add(half, half.T, out=half)
-    out = np.add(matrix, matrix.T, out=out)
-    out *= 0.5
-    return out
 
 
 def _eigen_split(symmetric, tau):
@@ -329,15 +268,6 @@ def node_variances(summary):
     has a component along a flat direction."""
     finite = (summary.cov_basis ** 2) @ summary.cov_values
     return np.where(_flat_nodes(summary), math.inf, finite)
-
-
-def _binary_exponent(values, axis=None):
-    """Exponent ``e`` that puts the largest |entry| of ``values * 2**-e``
-    (along ``axis``) in [1/2, 1), and 0 for zeros: dividing by ``2**e`` is
-    exact, so it moves the values' units to about 1 and no bit."""
-    peak = np.maximum(np.max(values, axis=axis, initial=0.0),
-                      -np.min(values, axis=axis, initial=0.0))
-    return np.frexp(peak)[1]
 
 
 def _variances_along(summary, vectors):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .belief import SamplingOperator, _observed, partial_observation
-from .graph_core import _as_scalar
+from .graph_core import _as_index, _as_scalar
 from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select"]
@@ -211,7 +211,7 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     candidate's :func:`fuse` would raise, such as an indefinite fused
     precision, is raised, and no thread outlives the call.
     """
-    n = prior.n
+    n, budget = prior.n, _as_index(budget, "budget")
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
     _require_metric(metric)

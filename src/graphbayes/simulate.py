@@ -49,6 +49,8 @@ class ExperimentConfig:
     sampling: tuple = None
 
     def __post_init__(self):
+        object.__setattr__(self, "trials", _as_index(self.trials, "trials"))
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _as_scalar(self.eps, "eps (to draw prior signals)", positive=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphbayes
 from graphbayes import (
     GaussianBelief,
     SamplingOperator,
@@ -165,6 +166,12 @@ class TestSubspacePrior:
         with pytest.raises(ValueError):
             subspace_prior(ones, sigma2_prior=1.0, eps=-0.5)
 
+    def test_exact_limit_refuses_a_ridge(self):
+        # with eps > 0 the relaxed form pins every direction as sigma2_prior
+        # falls to 0, so the exact prior cannot drop eps for the complement
+        with pytest.raises(ValueError, match="^eps applies to sigma2_prior > 0 only, got eps=0.5"):
+            _subspace_prior_of_ones(sigma2_prior=0.0, eps=0.5)
+
 
 def _subspace_prior_of_ones(**kwargs):
     return subspace_prior(SubspaceBasis(basis=np.full((2, 1), INV_SQRT2)), **kwargs)
@@ -282,6 +289,22 @@ class TestFusionAdditivity:
         b = full_observation(np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             a.combine(b)
+
+    def test_a_dense_plus_diagonal_sum_is_checked_for_symmetry_once(self, monkeypatch):
+        prior = smoothness_prior(laplacian(grid_graph(3, 3)), 0.1)
+        obs = partial_observation(SamplingOperator(n=9, nodes=(0, 4)), np.ones(2), 0.5)
+        calls = []
+        original = graphbayes.graph_core._require_symmetric
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        for module in (graphbayes.graph_core, graphbayes.belief, graphbayes.inference):
+            if getattr(module, "_require_symmetric", None) is original:
+                monkeypatch.setattr(module, "_require_symmetric", counted)
+        prior.combine(obs)
+        assert calls == [(9, 9)]
 
 
 class TestOperatorTypes:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from graphbayes import PosteriorSummary, SamplingOperator, partial_observation
-from graphbayes.inference import _add_precisions
+from graphbayes.belief import _add_precisions
 from graphbayes.sampling_eval import _screen
 
 N = 1500

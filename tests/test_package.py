@@ -1,5 +1,8 @@
 """The package's public surface: one name list per submodule, re-exported."""
 
+import ast
+import pathlib
+
 import graphbayes
 from graphbayes import _rng, belief, graph_core, inference, sampling_eval, simulate
 
@@ -48,3 +51,19 @@ def test_the_streams_hold_only_the_block_path():
     gone = ("CounterRng", "uniforms", "normals", "mix64", "stream_key")
     assert [name for name in gone if hasattr(_rng, name)] == []
     assert not hasattr(sampling_eval, "_score")
+
+
+def _package_imports(module):
+    """The sibling modules that ``module``'s source imports; the package's
+    modules import each other only relatively."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    return {node.module or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+
+
+def test_imports_run_from_graph_core_through_belief_to_inference():
+    # graph_core <- belief <- inference: a belief's rules and its sum live
+    # in belief, which fuses nothing
+    assert _package_imports(graph_core) == set()
+    assert "inference" not in _package_imports(belief)
+    assert "belief" in _package_imports(inference)

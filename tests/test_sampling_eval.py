@@ -144,6 +144,12 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match="budget"):
             greedy_select(prior, 4, 1.0)
 
+    @pytest.mark.parametrize("budget", [2.0, 1.5])
+    def test_budget_must_be_an_integer(self, budget):
+        prior = smoothness_prior(laplacian(path_graph(3)), 0.0)
+        with pytest.raises(ValueError, match=f"^budget must be an integer, got {budget!r}$"):
+            greedy_select(prior, budget, 1.0)
+
     @pytest.mark.parametrize("sigma2", [-1.0, math.nan])
     def test_bad_noise_variance_raises_before_any_scoring(self, monkeypatch, sigma2):
         def never(*args, **kwargs):
