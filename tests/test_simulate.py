@@ -316,8 +316,6 @@ class TestRunCalibration:
 
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", 2.0), ("seed", 1.5)])
     def test_config_counts_must_be_integers(self, field, value):
-        # a float seed once ran the truncated seed's streams under a header
-        # that printed the float; a float trial count failed inside range
         fields = dict(graph=path_graph(2), eps=0.1, sigma2=1.0, trials=5, seed=0)
         fields[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
