@@ -47,13 +47,6 @@ def stream_keys(seed, start, stop):
     return _mix_u64(z, np.empty_like(z))
 
 
-def uniforms_block(keys, start, count):
-    """Row r holds the ``count`` uniforms in (0, 1) of ``keys[r]`` from counter ``start + 1``."""
-    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    out = np.empty((keys.shape[0], count), dtype=np.uint64)
-    return _unit(keys, offsets, out, np.empty_like(out))
-
-
 def _unit(keys, offsets, out, spare):
     """Uniforms of every key at counter offsets ``c * GOLDEN``, in place.
 

@@ -91,6 +91,7 @@ class GaussianBelief:
     targets: np.ndarray = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_index(self.n, "node count"))
         rows = np.zeros((0, self.n)) if self.constraints is None else self.constraints
         targets = np.zeros(0) if self.targets is None else self.targets
         checked = _checked(self.n, self.precision, self.info, rows, targets)

@@ -192,8 +192,8 @@ def _is_sealed(arr):
 def _frozen(arr):
     """``arr`` as a read-only float64 array: one the library sealed itself is
     kept, since nothing else can change it; any other is copied in C order
-    whatever its source (eigh returns Fortran-ordered vectors), since the
-    layout decides how later products with the array round."""
+    whatever its source (``_reduce_constraints``' zero basis ``vt[:rank].T``
+    is Fortran-ordered), since the layout decides how later products round."""
     if isinstance(arr, np.ndarray) and _is_sealed(arr):
         return arr
     return _sealed(np.array(arr, dtype=np.float64, order="C"))

@@ -60,20 +60,16 @@ _SCREEN_RTOL = 1e-8
 _SLICE_BYTES = 1 << 20
 
 
-def _observation(n, nodes, sigma2):
-    op = SamplingOperator(n=n, nodes=tuple(nodes))
-    return partial_observation(op, np.zeros(op.n_s), sigma2)
-
-
 def _posterior(prior, nodes, sigma2):
-    return fuse(prior, _observation(prior.n, nodes, sigma2))
+    op = SamplingOperator(n=prior.n, nodes=tuple(nodes))
+    return fuse(prior, partial_observation(op, np.zeros(op.n_s), sigma2))
 
 
 def _screen(base, sigma2, metric):
-    """Closed-form ``trace`` or ``logdet`` score of adding each node to the
-    sampling set behind ``base``, with the size of the base score that
-    bounds their rounding; ``None`` for ``max_eig``, and for ``logdet`` when
-    σ² = 0 or a direction has zero variance (``-inf`` whatever the node).
+    """Closed-form score of adding each node to the sampling set behind
+    ``base``, with the size of the base score that bounds their rounding;
+    ``inf`` for every node where none is known: ``max_eig``, and ``logdet``
+    when σ² = 0 or a direction has zero variance (``-inf`` whatever the node).
 
     With Σ the finite covariance and one flat direction ``z``, a sample at
     node v fixes ``z`` and leaves Σ as it is: the trace grows by
@@ -85,16 +81,15 @@ def _screen(base, sigma2, metric):
     λ, so Σ_vv = (B∘B)λ and ‖Σe_v‖² = (B∘B)λ² come from B∘B without
     forming Σ.
     """
-    if metric == "max_eig" or (metric == "logdet" and (sigma2 == 0 or base.zero_basis.shape[1])):
-        return None
     values, basis, flat = base.cov_values, base.cov_basis, base.null_basis
+    if metric == "max_eig" or flat.shape[1] > 1 or (
+            metric == "logdet" and (sigma2 == 0 or base.zero_basis.shape[1])):
+        return np.full(base.n, math.inf), math.inf
     if metric == "trace":
         total = size = values.sum()
     else:
         logs = np.log(values)
         total, size = logs.sum(), np.abs(logs).sum()
-    if flat.shape[1] > 1:
-        return np.full(base.n, math.inf), size
     squares = basis**2
     diag = squares @ values
     if flat.shape[1] == 1:
@@ -160,18 +155,16 @@ def _next_node(prior, selected, remaining, sigma2, metric):
     """The node of ``remaining`` with the lowest exact score, the lowest id
     among bit-identical scores: screened from one posterior, then scored
     exactly by :func:`_exact_scores` on the near-ties."""
-    screened = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
-    if screened is not None:
-        estimates, size = screened
-        best = float(estimates[remaining].min())
-        if best < math.inf:
-            # rounding in the estimates scales with the base score, so the
-            # margin does not vanish when the lowest estimate is 0
-            margin = _SCREEN_RTOL * max(abs(best), size)
-            near = [v for v in remaining if estimates[v] <= best + margin]
-            scores = _exact_scores(prior, selected, near, sigma2, metric)
-            if all(abs(s - estimates[v]) <= margin for v, s in zip(near, scores)):
-                return near[scores.index(min(scores))]
+    estimates, size = _screen(_posterior(prior, selected, sigma2), sigma2, metric)
+    best = float(estimates[remaining].min())
+    if best < math.inf:
+        # rounding in the estimates scales with the base score, so the
+        # margin does not vanish when the lowest estimate is 0
+        margin = _SCREEN_RTOL * max(abs(best), size)
+        near = [v for v in remaining if estimates[v] <= best + margin]
+        scores = _exact_scores(prior, selected, near, sigma2, metric)
+        if all(abs(s - estimates[v]) <= margin for v, s in zip(near, scores)):
+            return near[scores.index(min(scores))]
     scores = _exact_scores(prior, selected, remaining, sigma2, metric)
     return remaining[scores.index(min(scores))]
 
@@ -189,15 +182,16 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
 
     Each round screens, then confirms. One :func:`fuse` of the nodes
     selected so far gives every candidate's score in closed form (``trace``,
-    and ``logdet`` while σ² > 0 and no direction has zero variance). The
-    candidates within a relative 1e-8 of the lowest estimate, or of the base
-    score when that is larger, are then scored exactly, and the lowest exact
-    score wins as above. If a confirmed score misses its estimate by more
-    than that margin, or every estimate is ``inf``, the round scores every
-    candidate exactly; ``max_eig`` always does. Exact scores decide every
-    winner, so the set is the one that scoring every candidate exactly
-    gives, unless an unconfirmed candidate's exact score lies below its
-    estimate by more than the margin; no case checked so far does that.
+    and ``logdet`` while σ² > 0 and no direction has zero variance), and an
+    ``inf`` estimate for every candidate where there is none (``max_eig``
+    always). The candidates within a relative 1e-8 of the lowest estimate,
+    or of the base score when that is larger, are then scored exactly, and
+    the lowest exact score wins as above. If a confirmed score misses its
+    estimate by more than that margin, or no estimate is finite, the round
+    scores every candidate exactly. Exact scores decide every winner, so
+    the set is the one that scoring every candidate exactly gives, unless an
+    unconfirmed candidate's exact score lies below its estimate by more than
+    the margin; no case checked so far does that.
 
     A round's exact scores are those of one :func:`fuse` per candidate,
     bit for bit, but computed together: each candidate's observation is

@@ -112,6 +112,15 @@ def stream_key(seed, stream):
     return mix64((seed + (stream + 1) * GOLDEN) & _MASK)
 
 
+def uniforms_block(keys, start, count):
+    """Row r holds the ``count`` uniforms in (0, 1) of ``keys[r]`` from
+    counter ``start + 1``, by the library's ``_rng._unit``, the step that
+    ``_rng.normals_block`` runs on each half of a Box-Muller pair."""
+    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_rng.GOLDEN)
+    out = np.empty((keys.shape[0], count), dtype=np.uint64)
+    return _rng._unit(keys, offsets, out, np.empty_like(out))
+
+
 class TrialStream:
     """The normals of trial ``trial`` of a simulation seeded with ``seed``,
     in the layout of ``_kernels.calibration_mse``: the trial's key is

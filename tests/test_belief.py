@@ -353,6 +353,18 @@ class TestOperatorTypes:
         with pytest.raises(ValueError, match=match):
             GaussianBelief(n=3, precision=precision, info=np.zeros(3))
 
+    @pytest.mark.parametrize("rows", [
+        {"constraints": np.zeros((0, 2)), "targets": np.zeros(0)},
+        {},
+    ])
+    def test_belief_node_count_must_be_an_integer(self, rows):
+        # with empty rows given, shape (2,) equals (2.0,) and every field
+        # check passed; without them the default rows raised TypeError
+        with pytest.raises(ValueError, match="^node count must be an integer, got 2.0$"):
+            GaussianBelief(n=2.0, precision=np.ones(2), info=np.zeros(2), **rows)
+        belief = GaussianBelief(n=np.int64(2), precision=np.ones(2), info=np.zeros(2), **rows)
+        assert type(belief.n) is int
+
     def test_subspace_rejects_a_one_dimensional_basis(self):
         with pytest.raises(ValueError, match="basis must be a 2-d array with at least one column"):
             SubspaceBasis(basis=np.array([1.0, 0.0]))

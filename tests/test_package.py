@@ -1,6 +1,8 @@
 """The package's public surface: one name list per submodule, re-exported."""
 
 import ast
+import collections
+import importlib
 import pathlib
 
 import graphbayes
@@ -46,11 +48,12 @@ def test_names_that_only_tests_called_are_gone_from_the_package():
 
 
 def test_the_streams_hold_only_the_block_path():
-    # one splitmix64, on uint64 arrays; the Python-int copy and the
-    # single-stream wrappers are the tests' own (tests/helpers.py)
-    gone = ("CounterRng", "uniforms", "normals", "mix64", "stream_key")
+    # one splitmix64, on uint64 arrays; the Python-int copy, the
+    # single-stream wrappers and the uniforms alone are the tests' own
+    # (tests/helpers.py)
+    gone = ("CounterRng", "uniforms", "normals", "mix64", "stream_key", "uniforms_block")
     assert [name for name in gone if hasattr(_rng, name)] == []
-    assert not hasattr(sampling_eval, "_score")
+    assert [name for name in ("_score", "_observation") if hasattr(sampling_eval, name)] == []
 
 
 def _package_imports(module):
@@ -67,3 +70,26 @@ def test_imports_run_from_graph_core_through_belief_to_inference():
     assert _package_imports(graph_core) == set()
     assert "inference" not in _package_imports(belief)
     assert "belief" in _package_imports(inference)
+
+
+def _names(node):
+    """Every name that ``node`` reads, calls, imports or looks up as an attribute."""
+    return {part.id if isinstance(part, ast.Name) else
+            part.attr if isinstance(part, ast.Attribute) else part.name
+            for part in ast.walk(node) if isinstance(part, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_definition_has_a_caller_in_the_package_or_is_exported():
+    # a top-level function or class that no other statement of the package
+    # names, and that its module does not export, is called only by tests;
+    # such code lives in tests/helpers.py
+    package = pathlib.Path(graphbayes.__file__).parent
+    statements = [(path.stem, node) for path in sorted(package.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    counts = collections.Counter(name for _, node in statements for name in _names(node))
+    uncalled = [f"{stem}.{node.name}" for stem, node in statements
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and counts[node.name] == (node.name in _names(node))
+                and node.name not in getattr(importlib.import_module(f"graphbayes.{stem}"),
+                                             "__all__", ())]
+    assert uncalled == []

@@ -31,7 +31,7 @@ from graphbayes import _kernels, _rng
 from graphbayes.simulate import _estimator_matrix
 
 from helpers import (GOLDEN, TrialStream, draw_prior_signal, mix64, observe, stream_key,
-                     two_component_graph)
+                     two_component_graph, uniforms_block)
 
 
 @st.composite
@@ -60,7 +60,7 @@ class TestCounterStreams:
         assert np.max(np.abs(a - b)) > 0.1
 
     def test_uniforms_stay_inside_open_interval(self):
-        u = _rng.uniforms_block(_rng.stream_keys(7, 0, 1), 0, 100000)[0]
+        u = uniforms_block(_rng.stream_keys(7, 0, 1), 0, 100000)[0]
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
         assert abs(np.mean(u) - 0.5) < 0.005
@@ -102,7 +102,7 @@ class TestCounterStreams:
     def test_uniforms_are_the_hashed_counters(self, keys, start, count):
         # the pure-Python definition: counter c of key k is the top 53 bits
         # of mix64(k + c * GOLDEN), centred in its interval of width 2**-53
-        block = _rng.uniforms_block(np.array(keys, dtype=np.uint64), start, count)
+        block = uniforms_block(np.array(keys, dtype=np.uint64), start, count)
         oracle = [[((mix64(k + c * GOLDEN) >> 11) + 0.5) * 2.0 ** -53
                    for c in range(start + 1, start + count + 1)] for k in keys]
         assert [[u.hex() for u in row] for row in block.tolist()] == [
@@ -120,7 +120,7 @@ class TestCounterStreams:
             "-0x1.806c60e2a583ap-3", "0x1.85b85b40f5a1bp-3",
             "0x1.73526cd828161p+0",
         ]
-        uniforms = _rng.uniforms_block(_rng.stream_keys(7, 0, 1), 3, 3)[0]
+        uniforms = uniforms_block(_rng.stream_keys(7, 0, 1), 3, 3)[0]
         assert [float(u).hex() for u in uniforms] == [
             "0x1.355e43b052dc4p-1", "0x1.646972a582333p-2", "0x1.7551f69e6c4cap-3",
         ]
