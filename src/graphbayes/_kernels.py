@@ -79,13 +79,11 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     per core (numpy releases the GIL in its loops and BLAS calls), in
     whatever order the pool takes them; their sums are added in chunk
     order, so the result does not depend on the number of threads.
+
+    The arguments are used as given; the bits hold for C-contiguous float64
+    ``vectors``, ``scale`` and ``estimator``, an int64 ``sample``, int
+    ``seed`` and ``trials`` and a float ``sigma``.
     """
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    scale = np.ascontiguousarray(scale, dtype=np.float64)
-    estimator = np.ascontiguousarray(estimator, dtype=np.float64)
-    sample = np.ascontiguousarray(sample, dtype=np.int64)
-    seed = int(seed)
-    sigma = float(sigma)
     n = vectors.shape[0]
     eta_at = 2 * ((n + 1) // 2)  # the noise pairs start where the signal pairs end
     count = eta_at + sample.shape[0]

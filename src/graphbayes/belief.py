@@ -140,12 +140,12 @@ class SamplingOperator:
     nodes: tuple
 
     def __post_init__(self):
-        n = _as_index(self.n, "node count")
+        object.__setattr__(self, "n", _as_index(self.n, "node count"))
         nodes = tuple(map(_as_index, self.nodes))
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node ids in sampling set")
         for v in nodes:
-            if not 0 <= v < n:
+            if not 0 <= v < self.n:
                 raise ValueError(f"node id {v} out of range for n={self.n}")
         object.__setattr__(self, "nodes", nodes)
 

@@ -91,8 +91,8 @@ def _estimator_matrix(prior, operator, sigma2, summary):
     """
     nodes = list(operator.nodes)
     if sigma2 > 0:
-        cov = posterior_covariance(summary)
-        return cov[:, nodes] / sigma2
+        # gathered in C order, the layout the kernel's bits hold for
+        return np.take(posterior_covariance(summary), nodes, axis=1) / sigma2
     basis = summary.cov_basis
     pull = basis.T @ prior.precision[:, nodes]
     # S by index: 0.0 - x, not -x, gives the signed zeros of S - x

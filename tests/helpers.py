@@ -1,7 +1,11 @@
 """Shared graph builders, referees and fakes for the test-suite."""
 
+import collections
 import itertools
+import math
+import operator
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,6 +66,92 @@ def two_component_graph():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2),
              (5, 6), (6, 7), (7, 8), (8, 9), (5, 7)]
     return Graph.from_edges(10, edges)
+
+
+ExactPosterior = collections.namedtuple("ExactPosterior", "flat zero variances mean")
+
+
+def _row_reduced(rows, width):
+    """``rows`` (lists of Fractions) in reduced row echelon form over their
+    first ``width`` columns, by Gauss-Jordan elimination, and the pivot
+    column of each leading row."""
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col]:
+                rows[r] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def exact_posterior(graph, eps, sigma2, samples, pins):
+    """The posterior of the smoothness prior ``L + eps I`` given noisy
+    ``samples`` and noise-free ``pins`` (both ``{node: value}``), in exact
+    rational arithmetic: the referee of the three-way split on small graphs.
+
+    The fused precision is ``P = L + eps I + diag(1/sigma2 on the samples)``.
+    Float inputs are exact rationals, so with ``sigma2`` and ``eps`` powers
+    of two (or ``eps = 0``) nothing is rounded. The pins are eliminated by
+    index: they are the zero-variance directions, and the free block gets
+    the information ``h_f - P_fp d_p``. The flat directions are the exact
+    null space of ``P_ff``. A free node has variance ``inf`` when a flat
+    direction touches it, and otherwise ``x_v`` for any solution of
+    ``P_ff x = e_v``. The mean is the minimum-norm solution of
+    ``P_ff x = h_f - P_fp d_p`` on the free nodes and the pinned values on
+    the pins.
+
+    Returns ``ExactPosterior(flat, zero, variances, mean)``: the two counts,
+    then one Fraction (or ``math.inf``) per node and one Fraction per node.
+    """
+    n = graph.n
+    precision = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in graph.edges:
+        precision[i][j] = precision[j][i] = Fraction(-1)
+        precision[i][i] += 1
+        precision[j][j] += 1
+    info = [Fraction(0)] * n
+    for v in range(n):
+        precision[v][v] += Fraction(eps)
+    for v, value in samples.items():
+        precision[v][v] += 1 / Fraction(sigma2)
+        info[v] = Fraction(value) / Fraction(sigma2)
+    free = [v for v in range(n) if v not in pins]
+    m = len(free)
+    # [P_ff | I | h_f - P_fp d_p], reduced over P_ff: the pivot rows give a
+    # solution for each of the last m + 1 columns
+    rows, pivots = _row_reduced(
+        [[precision[a][b] for b in free] + [Fraction(a == b) for b in free]
+         + [info[a] - sum(precision[a][p] * Fraction(d) for p, d in pins.items())]
+         for a in free], m)
+    assert not any(row[-1] for row in rows[len(pivots):]), "information outside range(P_ff)"
+    # one null vector per column without a pivot: 1 there, minus that column of the pivot rows
+    null = []
+    for c in sorted(set(range(m)) - set(pivots)):
+        z = [Fraction(k == c) for k in range(m)]
+        for row, p in zip(rows, pivots):
+            z[p] = -row[c]
+        null.append(z)
+    solved = {p: row for row, p in zip(rows, pivots)}
+    # minimum norm: take from the solution with x = 0 off the pivots its
+    # projection on the null space, from the Gram system of the null vectors
+    x = [solved[a][-1] if a in solved else Fraction(0) for a in range(m)]
+    gram, _ = _row_reduced([[sum(map(operator.mul, y, z)) for z in null]
+                            + [sum(map(operator.mul, y, x))] for y in null], len(null))
+    for row, z in zip(gram, null):
+        x = [xa - row[-1] * za for xa, za in zip(x, z)]
+    variances = [Fraction(0)] * n
+    mean = [Fraction(pins.get(v, 0.0)) for v in range(n)]
+    for a, v in enumerate(free):
+        flat = any(z[a] for z in null)
+        variances[v] = math.inf if flat else solved[a][m + a]
+        mean[v] = x[a]
+    return ExactPosterior(len(null), len(pins), variances, mean)
 
 
 def score(prior, nodes, sigma2, metric):

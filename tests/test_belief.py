@@ -365,6 +365,11 @@ class TestOperatorTypes:
         belief = GaussianBelief(n=np.int64(2), precision=np.ones(2), info=np.zeros(2), **rows)
         assert type(belief.n) is int
 
+    def test_sampling_node_count_is_stored_as_an_int(self):
+        assert type(SamplingOperator(n=np.int64(3), nodes=(2,)).n) is int
+        with pytest.raises(ValueError, match="^node id 1 out of range for n=1$"):
+            SamplingOperator(n=True, nodes=(1,))
+
     def test_subspace_rejects_a_one_dimensional_basis(self):
         with pytest.raises(ValueError, match="basis must be a 2-d array with at least one column"):
             SubspaceBasis(basis=np.array([1.0, 0.0]))

@@ -110,6 +110,11 @@ class TestGraphType:
         with pytest.raises(ValueError, match="node count must be an integer, got 2.5"):
             Graph.from_edges(2.5, [(0, 1)])
 
+    @pytest.mark.parametrize("n", [True, np.int64(3)])
+    def test_node_count_is_stored_as_an_int(self, n):
+        g = Graph(n=n, edges=frozenset())
+        assert type(g.n) is int and g.n == n
+
     def test_numpy_integer_ids_and_count_are_accepted(self):
         g = Graph.from_edges(np.int64(3), [(np.int32(2), np.uint8(0))])
         assert g == Graph.from_edges(3, [(0, 2)])
@@ -233,6 +238,11 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
             spectral_decomposition(np.zeros((2, 3)))
 
+    def test_rejects_a_finite_input_whose_eigenvalue_overflows(self):
+        # eigh returns eigenvalue inf for the largest, 2e308
+        with pytest.raises(ValueError, match="eigenvalues contain non-finite entries"):
+            spectral_decomposition(np.full((2, 2), 1e308))
+
     def test_arrays_are_eighs_own_sealed_not_copied(self, monkeypatch):
         made = []
         eigh = np.linalg.eigh
@@ -282,6 +292,7 @@ class TestSpectrum:
         checked = []
         monkeypatch.setattr(graph_core, "_require_orthonormal",
                             lambda basis, name="basis": checked.append(basis))
+        monkeypatch.setattr(Spectrum, "__post_init__", lambda self: checked.append(self))
         spec = spectral_decomposition(laplacian(grid_graph(32, 34)))
         assert checked == []
         monkeypatch.undo()
@@ -465,6 +476,9 @@ class TestSignalCsv:
         ("0,1.0,2.0", "line 3: expected 'node,value'"),
         ("one,1.0", "line 3: could not parse 'one,1.0'"),
         ("1,high", "line 3: could not parse '1,high'"),
+        # blank lines are counted, as in load_edge_list
+        ("\nbad", "line 4: expected 'node,value'"),
+        ("\n  \n1,x", "line 5: could not parse '1,x'"),
     ])
     def test_malformed_row_reports_line(self, row, message):
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
