@@ -3,12 +3,11 @@
 The kernel draws its normals from the counter streams of :mod:`._rng` in
 fixed chunks of trials, so a fixed seed gives the same result bit for bit
 on every run. Its chunks, and greedy selection's stacked eigendecompositions,
-run through one ordered thread pool, :func:`map_in_order`.
+run through :func:`map_in_order`: on the calling thread and its helpers.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 import queue
 
@@ -39,32 +38,53 @@ def _cores():
 
 
 def map_in_order(work, tasks, workers):
-    """``[work(task) for task in tasks]``, on a pool of ``workers`` threads
-    when that is two or more; with one, the calling thread runs every task.
+    """``[work(task) for task in tasks]``, run on the calling thread and, when
+    ``workers`` is two or more, on ``workers - 1`` helper threads.
 
-    ``tasks`` is iterated on the calling thread, at most one task ahead of
-    those running, so a generator that builds them holds at most
-    ``workers + 1`` at once. Results are taken in task order, so the first
-    failing task's exception is raised; it cancels the tasks not started,
-    and no pool thread outlives the call.
+    ``tasks`` is iterated on the calling thread, which hands a task to the
+    helpers while they hold fewer than ``workers`` unfinished ones and runs
+    it itself otherwise, so a generator that builds them holds at most
+    ``workers + 1`` at once; when the tasks run out, it takes back and runs
+    those no helper has started. Results are taken in task order, so the
+    first failing task's exception is raised; a failure cancels the tasks
+    not started, and no helper thread outlives the call.
     """
     if workers <= 1:
         return [work(task) for task in tasks]
     # imported here, so that a process that never starts a pool does not
     # load concurrent.futures and logging (0.4 MB of peak RSS, 5 ms of import)
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    results, pending = [], collections.deque()
-    pool = ThreadPoolExecutor(workers)
+    slots, queued = [], {}  # a future per task; {slot: task} of unfinished helper tasks
+
+    def run_here(i, task):
+        """Task ``i`` run on the calling thread into its slot; its exception."""
+        slots[i:i + 1] = [Future()]  # the slot of a task taken back, or a new one
+        try:
+            slots[i].set_result(work(task))
+        except Exception as error:  # raised in task order, by result() below
+            slots[i].set_exception(error)
+        return slots[i].exception()
+
+    pool = ThreadPoolExecutor(workers - 1)
     try:
         for task in tasks:
-            pending.append(pool.submit(work, task))
-            if len(pending) > workers:
-                results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
+            finished = [i for i in queued if slots[i].done()]
+            if any(slots[i].exception() for i in finished):
+                break
+            queued = {i: t for i, t in queued.items() if i not in finished}
+            if len(queued) < workers:
+                queued[len(slots)] = task
+                slots.append(pool.submit(work, task))
+            elif run_here(len(slots), task):
+                break
+        else:
+            for i, task in queued.items():
+                if slots[i].cancel() and run_here(i, task):
+                    break
     finally:
         pool.shutdown(cancel_futures=True)
-    return results
+    return [slot.result() for slot in slots if not slot.cancelled()]
 
 
 def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
@@ -75,10 +95,10 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     ``sigma``, applies the linear ``estimator`` and accumulates squared
     per-node errors.
 
-    Chunks of trials run through :func:`map_in_order` on up to one thread
-    per core (numpy releases the GIL in its loops and BLAS calls), in
-    whatever order the pool takes them; their sums are added in chunk
-    order, so the result does not depend on the number of threads.
+    Chunks of trials run through :func:`map_in_order` on the calling thread
+    and one helper per further core (numpy releases the GIL in its loops and
+    BLAS calls), in whatever order they are taken; their sums are added in
+    chunk order, so the result does not depend on the number of threads.
 
     The arguments are used as given; the bits hold for C-contiguous float64
     ``vectors``, ``scale`` and ``estimator``, an int64 ``sample``, int

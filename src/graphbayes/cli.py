@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None

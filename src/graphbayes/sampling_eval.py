@@ -116,10 +116,10 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     many per thread. The calling thread builds each chunk's projected
     precisions, the matrices :func:`fuse` eigendecomposes, from each
     candidate's observation arrays by index (``belief._observed``, no belief
-    per candidate; ``sigma2`` is a checked float), and stacks each
-    run of equal kernel size for :func:`_eigen_split`, on up to one thread
-    per core; ``eigh`` takes a stack one matrix at a time, so neither the
-    chunking nor the thread count moves a bit.
+    per candidate; ``sigma2`` is a checked float), and stacks each run of
+    equal kernel size for :func:`_eigen_split`, on the calling thread and
+    one helper per further core; ``eigh`` takes a stack one matrix at a
+    time, so neither the chunking nor the thread count moves a bit.
     """
     n = prior.n
     per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
@@ -196,14 +196,14 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     A round's exact scores are those of one :func:`fuse` per candidate,
     bit for bit, but computed together: each candidate's observation is
     built from arrays by index, with no sampling operator or belief per
-    candidate, and its projected precision on the calling thread, in
-    chunks of at most 1 MiB;
-    each run of equal kernel size in a chunk is stacked and eigendecomposed
-    by one ``eigh`` call, on up to one thread per core. ``eigh`` takes a
-    stack one matrix at a time and the scores are read in candidate order,
-    so the bits and the set do not depend on the thread count; the error a
-    candidate's :func:`fuse` would raise, such as an indefinite fused
-    precision, is raised, and no thread outlives the call.
+    candidate, and its projected precision on the calling thread, in chunks
+    of at most 1 MiB; each run of equal kernel size in a chunk is stacked
+    and eigendecomposed by one ``eigh`` call, on the calling thread and one
+    helper thread per further core (:func:`._kernels.map_in_order`).
+    ``eigh`` takes a stack one matrix at a time and the scores are read in
+    candidate order, so the bits and the set do not depend on the thread
+    count; the error a candidate's :func:`fuse` would raise, such as an
+    indefinite fused precision, is raised, and no thread outlives the call.
     """
     n, budget = prior.n, _as_index(budget, "budget")
     if not 1 <= budget <= n:

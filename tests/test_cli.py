@@ -118,6 +118,20 @@ class TestEstimate:
         assert code == 1
         assert "lacks values" in err
 
+    def test_byte_order_marks_do_not_change_the_output(self, capsys, tmp_path):
+        # as Excel's "CSV UTF-8" and Windows Notepad write them
+        graph, signal = tmp_path / "p3.edges", tmp_path / "p3.csv"
+        graph.write_text("0 1\n1 2\n")
+        signal.write_text("node,value\n0,1.5\n2,-1\n")
+        marked_graph, marked_signal = tmp_path / "bom.edges", tmp_path / "bom.csv"
+        marked_graph.write_bytes(b"\xef\xbb\xbf" + graph.read_bytes())
+        marked_signal.write_bytes(b"\xef\xbb\xbf" + signal.read_bytes())
+        argv = ["--sigma2", "0.5", "--nodes", "0,2"]
+        plain = run_cli(capsys, ["estimate", str(graph), str(signal), *argv])
+        assert plain[0] == 0
+        assert run_cli(capsys, ["estimate", str(marked_graph), str(signal), *argv]) == plain
+        assert run_cli(capsys, ["estimate", str(graph), str(marked_signal), *argv]) == plain
+
     def test_out_file(self, tmp_path, capsys, p2_files):
         graph, signal = p2_files
         target = tmp_path / "result.csv"

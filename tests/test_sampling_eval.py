@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -417,6 +418,33 @@ class TestStackedExactScores:
         # 81 candidates take more than one slice, hence a pool
         sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
         assert started
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_the_calling_thread_splits_stacks_beside_the_helpers(self, monkeypatch, cores):
+        prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
+        monkeypatch.setattr(_kernels, "_cores", lambda: 1)
+        expected = sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
+        started, split_on = [], set()
+        start = threading.Thread.start
+        eigen_split = sampling_eval._eigen_split
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def slow_split(stack, taus):
+            split_on.add(threading.get_ident())
+            time.sleep(0.02)  # every helper is still busy when the caller looks
+            return eigen_split(stack, taus)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(sampling_eval, "_eigen_split", slow_split)
+        monkeypatch.setattr(_kernels, "_cores", lambda: cores)
+        # 81 candidates take six stacks, more than one slice per thread
+        scores = sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
+        assert [float(s).hex() for s in scores] == [float(s).hex() for s in expected]
+        assert 1 <= len(started) <= cores - 1
+        assert threading.get_ident() in split_on
 
     def test_candidates_are_built_by_index_with_no_belief(self, monkeypatch):
         # every first-round logdet estimate at sigma2 = 1 on the 9x9 grid lies

@@ -464,6 +464,85 @@ class TestCalibrationKernel:
         assert 1 in started and len(started) < 10
 
 
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_the_calling_thread_runs_chunks_beside_the_helpers(self, monkeypatch, cores):
+        started, drawn_on = [], set()
+        start = threading.Thread.start
+        draw = _rng.normals_block
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def slow_draw(keys, *args, **kwargs):
+            drawn_on.add(threading.get_ident())
+            time.sleep(0.01)  # every helper is still busy when the caller looks
+            return draw(keys, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(_rng, "normals_block", slow_draw)
+        monkeypatch.setattr(_kernels, "_cores", lambda: cores)
+        seed, trials, sample, sigma, expected = KERNEL_GOLDEN[1]  # three chunks
+        mse = _kernels.calibration_mse(seed, trials, *_kernel_inputs(sample), sigma)
+        assert [float(v).hex() for v in mse] == expected
+        assert 1 <= len(started) <= cores - 1
+        assert threading.get_ident() in drawn_on
+
+
+class TestMapInOrder:
+    """The calling thread runs tasks beside ``workers - 1`` helpers."""
+
+    def test_results_keep_task_order_when_the_caller_takes_tasks_back(self):
+        ran_on = {}
+
+        def work(task):
+            ran_on[task] = threading.get_ident()
+            if task == 0:
+                time.sleep(0.2)
+            return 10 * task
+
+        assert _kernels.map_in_order(work, range(6), 2) == [0, 10, 20, 30, 40, 50]
+        # task 1 waited on the one helper behind task 0 until the caller took it back
+        caller = threading.get_ident()
+        assert ran_on[0] != caller
+        assert [ran_on[task] for task in range(1, 6)] == [caller] * 5
+
+    def test_a_helper_failure_before_a_caller_failure_is_raised(self):
+        ran_on = {}
+
+        def work(task):
+            ran_on[task] = threading.get_ident()
+            if task == 0:
+                time.sleep(0.2)
+            if task == 1:
+                time.sleep(0.1)
+                raise RuntimeError("task 1")
+            if task == 3:
+                raise ValueError("task 3")
+            return task
+
+        # tasks 0 and 1 run on the two helpers, task 2 waits, task 3 runs here
+        with pytest.raises(RuntimeError, match="task 1"):
+            _kernels.map_in_order(work, range(8), 3)
+        assert ran_on[1] != threading.get_ident() == ran_on[3]
+
+    def test_no_task_starts_after_a_task_fails_on_the_caller(self):
+        started = set()
+
+        def work(task):
+            started.add(task)
+            if task == 0:
+                time.sleep(0.2)
+            if task == 2:
+                raise ValueError("task 2")
+            return task
+
+        # task 0 runs on the helper, task 1 waits behind it, task 2 runs here
+        with pytest.raises(ValueError, match="task 2"):
+            _kernels.map_in_order(work, range(8), 2)
+        assert started == {0, 2}
+
+
 class TestBackends:
     def test_active_backend_reports(self):
         assert _kernels.active_backend() == "numpy"
