@@ -58,7 +58,6 @@ def map_in_order(work, tasks, workers):
     slots, queued = [], {}  # a future per task; {slot: task} of unfinished helper tasks
 
     def run_here(i, task):
-        """Task ``i`` run on the calling thread into its slot; its exception."""
         slots[i:i + 1] = [Future()]  # the slot of a task taken back, or a new one
         try:
             slots[i].set_result(work(task))
@@ -95,10 +94,10 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     ``sigma``, applies the linear ``estimator`` and accumulates squared
     per-node errors.
 
-    Chunks of trials run through :func:`map_in_order` on the calling thread
-    and one helper per further core (numpy releases the GIL in its loops and
-    BLAS calls), in whatever order they are taken; their sums are added in
-    chunk order, so the result does not depend on the number of threads.
+    Chunks run through :func:`map_in_order` on the calling thread and one
+    helper per further core (numpy releases the GIL in its loops and BLAS
+    calls), the caller taking back those no helper has started; their sums
+    are added in chunk order, so the result does not depend on the threads.
 
     The arguments are used as given; the bits hold for C-contiguous float64
     ``vectors``, ``scale`` and ``estimator``, an int64 ``sample``, int

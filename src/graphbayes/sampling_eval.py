@@ -117,9 +117,10 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     precisions, the matrices :func:`fuse` eigendecomposes, from each
     candidate's observation arrays by index (``belief._observed``, no belief
     per candidate; ``sigma2`` is a checked float), and stacks each run of
-    equal kernel size for :func:`_eigen_split`, on the calling thread and
-    one helper per further core; ``eigh`` takes a stack one matrix at a
-    time, so neither the chunking nor the thread count moves a bit.
+    equal kernel size for :func:`_eigen_split`, which runs on the caller and
+    one helper per further core, the caller taking back stacks no helper has
+    started; ``eigh`` takes a stack one matrix at a time, so neither the
+    chunking nor the thread count moves a bit.
     """
     n = prior.n
     per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
