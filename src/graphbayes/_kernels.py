@@ -106,6 +106,7 @@ def calibration_mse(seed, trials, vectors, scale, estimator, sample, sigma):
     n = vectors.shape[0]
     eta_at = 2 * ((n + 1) // 2)  # the noise pairs start where the signal pairs end
     count = eta_at + sample.shape[0]
+    # adding signals[:, sample] copies them first: 7x the in-place add's time at n = 576
     observe_all = np.array_equal(sample, np.arange(n))
     n_chunks = -(-trials // _CHUNK)
     workers = max(1, min(_cores(), n_chunks))

@@ -7,6 +7,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 import re
@@ -61,7 +62,8 @@ class Graph:
     n : int
         Number of nodes; ids run from 0 to n - 1.
     edges : frozenset[tuple[int, int]]
-        Unordered node pairs stored as (min, max) tuples.
+        Unordered node pairs stored as (min, max) tuples; given as (u, v)
+        pairs of integer ids in either order, duplicates collapsing.
     """
 
     n: int
@@ -71,44 +73,42 @@ class Graph:
         object.__setattr__(self, "n", _as_index(self.n, "node count"))
         if self.n < 1:
             raise ValueError("graph must have at least one node")
+        edges = []
         for edge in self.edges:
-            i, j = map(_as_index, edge)
+            i, j = edge
+            i, j = _as_index(i), _as_index(j)
+            if i > j:
+                i, j = j, i
             if i == j:
                 raise ValueError(f"self-loop at node {i} not allowed")
-            if not (0 <= i < j < self.n):
+            if i < 0 or j >= self.n:
                 raise ValueError(f"edge {edge} out of range for n={self.n}")
-
-    @classmethod
-    def from_edges(cls, n, pairs):
-        """Build a graph from arbitrary (u, v) pairs, in either order and
-        with duplicates. The library's parser and generators emit canonical
-        (min, max) pairs and construct the graph directly."""
-        return cls(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in pairs))
+            edges.append((i, j))
+        object.__setattr__(self, "edges", frozenset(edges))
 
 
 def load_edge_list(text, one_based=False):
     """Parse edge-list text into a :class:`Graph`.
 
-    Each non-comment line holds two whitespace-separated integer node ids.
-    Lines starting with ``#`` are comments; a comment of the form ``# n=<N>``
-    declares the node count (otherwise it is max id + 1). With ``one_based``
-    every id is shifted down by one before validation.
+    Each non-comment line holds two whitespace-separated integer node ids,
+    in either order. Lines starting with ``#`` are comments; a comment of
+    the form ``# n=<N>`` declares the node count, the last one wherever it
+    stands (otherwise it is max id + 1). With ``one_based`` every id is
+    shifted down by one before validation.
 
     Raises
     ------
     GraphFormatError
-        On unparseable lines, self-loops, or ids outside a declared n.
+        On unparseable lines, self-loops, or ids outside a declared n,
+        naming the earliest faulty line.
     """
-    declared_n = None
-    pairs, line_nos = [], []  # (u, v) with u < v, and the line of each
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    headers = [m for raw in lines if "#" in raw and (m := _HEADER_RE.match(raw.strip()))]
+    n = int(headers[-1].group(1)) if headers else None
+    ids = []  # u, v, u, v, ...: no tuple per line, as Graph builds the pairs it keeps
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _HEADER_RE.match(line)
-            if match:
-                declared_n = int(match.group(1))
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -127,24 +127,19 @@ def load_edge_list(text, one_based=False):
             raise GraphFormatError(f"line {line_no}: negative node id")
         if u == v:
             raise GraphFormatError(f"line {line_no}: self-loop at node {u}")
-        pairs.append((u, v) if u < v else (v, u))
-        line_nos.append(line_no)
+        if n is not None and (u >= n or v >= n):
+            raise GraphFormatError(
+                f"line {line_no}: node id {max(u, v)} >= declared n={n}"
+            )
+        ids += u, v
 
-    if declared_n is None:
-        if not pairs:
+    if n is None:
+        if not ids:
             raise GraphFormatError(
                 "empty edge list and no '# n=<N>' header to fix the node count"
             )
-        n = max(v for _, v in pairs) + 1
-    else:
-        n = declared_n
-        for line_no, (_, v) in zip(line_nos, pairs):
-            if v >= n:
-                raise GraphFormatError(
-                    f"line {line_no}: node id {v} >= declared n={n}"
-                )
-
-    return Graph(n=n, edges=frozenset(pairs))
+        n = max(ids) + 1
+    return Graph(n, zip(ids[::2], ids[1::2]))
 
 
 def read_signal_csv(text):
@@ -385,14 +380,14 @@ def quadratic_variation(lap, x):
 
 def path_graph(n):
     """Path on n nodes: edges (i, i+1)."""
-    return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(n):
     """Star on n nodes with hub 0."""
     if n < 2:
         raise ValueError("star graph needs at least 2 nodes")
-    return Graph(n=n, edges=frozenset((0, i) for i in range(1, n)))
+    return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def grid_graph(width, height):
@@ -402,7 +397,8 @@ def grid_graph(width, height):
     ids = np.arange(width * height).reshape(height, width)
     right = zip(ids[:, :-1].ravel().tolist(), ids[:, 1:].ravel().tolist())
     down = zip(ids[:-1].ravel().tolist(), ids[1:].ravel().tolist())
-    return Graph(n=width * height, edges=frozenset([*right, *down]))
+    # chained, not listed: only the pairs Graph builds are held, which halves the GC work
+    return Graph(width * height, itertools.chain(right, down))
 
 
 def random_geometric_graph(n, radius, seed):
@@ -422,4 +418,4 @@ def random_geometric_graph(n, radius, seed):
         close &= np.arange(lo, hi)[:, None] < np.arange(lo + 1, n)[None, :]
         i, j = np.nonzero(close)
         edges.extend(zip((i + lo).tolist(), (j + lo + 1).tolist()))
-    return Graph(n=n, edges=frozenset(edges))
+    return Graph(n, edges)

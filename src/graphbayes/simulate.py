@@ -38,7 +38,8 @@ class ExperimentConfig:
     ``eps`` must be positive: ground-truth signals are drawn from the
     smoothness prior, which is only a proper distribution once
     regularized. ``sampling`` restricts observations to a node subset
-    (None observes every node).
+    (None observes every node), checked as :class:`SamplingOperator`
+    checks it when the configuration is built.
     """
 
     graph: Graph
@@ -56,7 +57,8 @@ class ExperimentConfig:
         _as_scalar(self.eps, "eps (to draw prior signals)", positive=True)
         _as_scalar(self.sigma2, "sigma2")
         if self.sampling is not None:
-            object.__setattr__(self, "sampling", tuple(map(_as_index, self.sampling)))
+            nodes = SamplingOperator(n=self.graph.n, nodes=self.sampling).nodes
+            object.__setattr__(self, "sampling", nodes)
 
 
 @dataclass(frozen=True)

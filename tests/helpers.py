@@ -20,7 +20,7 @@ def random_graph(rng, n, edge_prob=0.3):
         for j in range(i + 1, n)
         if rng.uniform() < edge_prob
     ]
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def random_connected_graph(rng, n, extra_prob=0.2):
@@ -34,7 +34,7 @@ def random_connected_graph(rng, n, extra_prob=0.2):
         for j in range(i + 1, n):
             if rng.uniform() < extra_prob:
                 edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def components(graph):
@@ -65,7 +65,7 @@ def two_component_graph():
     """Two 5-node connected blobs with no edges between them."""
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2),
              (5, 6), (6, 7), (7, 8), (8, 9), (5, 7)]
-    return Graph.from_edges(10, edges)
+    return Graph(10, edges)
 
 
 ExactPosterior = collections.namedtuple("ExactPosterior", "flat zero variances mean")

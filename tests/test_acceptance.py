@@ -249,7 +249,7 @@ def test_criterion_6_perfect_reconstruction():
 
 def test_criterion_7_infinite_uncertainty_detection():
     # path 0-1-2 plus isolated node 3; samples on the path only
-    graph = Graph.from_edges(4, [(0, 1), (1, 2)])
+    graph = Graph(4, [(0, 1), (1, 2)])
     lap = laplacian(graph)
     operator = SamplingOperator(n=4, nodes=(0, 2))
     summary = fuse(

@@ -54,7 +54,7 @@ def _summary_digests(summary):
 def _grid_with_loose_path():
     # a 4x4 grid plus a 3-node path that no observation touches
     grid = grid_graph(4, 4)
-    return Graph.from_edges(19, [*grid.edges, (16, 17), (17, 18)])
+    return Graph(19, [*grid.edges, (16, 17), (17, 18)])
 
 
 PINNED_NODES = (0, 5, 10, 15, 3)

@@ -54,6 +54,24 @@ class TestEdgeListLoader:
         with pytest.raises(GraphFormatError, match="node id 5 >= declared n=3"):
             load_edge_list("# n=3\n0 5")
 
+    def test_earliest_faulty_line_is_named(self):
+        with pytest.raises(GraphFormatError, match="line 2: node id 5 >= declared n=3"):
+            load_edge_list("# n=3\n0 5\n1 x")
+        with pytest.raises(GraphFormatError, match="line 2: node id 5 >= declared n=3"):
+            load_edge_list("# n=3\n5 0\n1 1")
+
+    def test_header_after_the_edges_still_declares_n(self):
+        with pytest.raises(GraphFormatError, match="line 1: node id 5 >= declared n=3"):
+            load_edge_list("0 5\n# n=3")
+
+    def test_last_of_several_headers_wins(self):
+        assert load_edge_list("# n=9\n0 1\n# n=4").n == 4
+        with pytest.raises(GraphFormatError, match="line 2: node id 5 >= declared n=4"):
+            load_edge_list("# n=9\n0 5\n# n=4")
+
+    def test_node_count_reads_the_larger_id_of_a_reversed_pair(self):
+        assert load_edge_list("2 0").n == 3
+
     def test_empty_without_header_is_an_error(self):
         with pytest.raises(GraphFormatError):
             load_edge_list("")
@@ -89,10 +107,16 @@ class TestGraphType:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(n=2, edges=frozenset({(0, 2)}))
+        with pytest.raises(ValueError, match=r"edge \(3, 0\) out of range for n=3"):
+            Graph(3, [(3, 0)])
 
-    def test_from_edges_canonicalizes_order(self):
-        g = Graph.from_edges(3, [(2, 0)])
+    def test_constructor_orders_each_pair(self):
+        g = Graph(3, [(2, 0)])
         assert g.edges == frozenset({(0, 2)})
+
+    def test_constructor_collapses_a_pair_given_in_both_orders(self):
+        g = Graph(2, [(0, 1), (1, 0)])
+        assert g.edges == frozenset({(0, 1)})
 
     def test_needs_at_least_one_node(self):
         with pytest.raises(ValueError, match="graph must have at least one node"):
@@ -102,13 +126,13 @@ class TestGraphType:
         with pytest.raises(ValueError, match="node id must be an integer, got 0.5"):
             Graph(n=3, edges=frozenset({(0.5, 2)}))
 
-    def test_from_edges_refuses_a_non_integer_node_id(self):
+    def test_constructor_refuses_a_non_integer_node_id_in_a_list(self):
         with pytest.raises(ValueError, match="node id must be an integer, got 0.5"):
-            Graph.from_edges(3, [(0.5, 1)])
+            Graph(3, [(0.5, 1)])
 
     def test_non_integer_node_count_is_refused(self):
         with pytest.raises(ValueError, match="node count must be an integer, got 2.5"):
-            Graph.from_edges(2.5, [(0, 1)])
+            Graph(2.5, [(0, 1)])
 
     @pytest.mark.parametrize("n", [True, np.int64(3)])
     def test_node_count_is_stored_as_an_int(self, n):
@@ -116,9 +140,9 @@ class TestGraphType:
         assert type(g.n) is int and g.n == n
 
     def test_numpy_integer_ids_and_count_are_accepted(self):
-        g = Graph.from_edges(np.int64(3), [(np.int32(2), np.uint8(0))])
-        assert g == Graph.from_edges(3, [(0, 2)])
-        np.testing.assert_array_equal(laplacian(g), laplacian(Graph.from_edges(3, [(0, 2)])))
+        g = Graph(np.int64(3), [(np.int32(2), np.uint8(0))])
+        assert g == Graph(3, [(0, 2)])
+        np.testing.assert_array_equal(laplacian(g), laplacian(Graph(3, [(0, 2)])))
 
 
 class TestLaplacian:
@@ -128,7 +152,7 @@ class TestLaplacian:
 
     def test_edgeless_is_zero(self):
         np.testing.assert_array_equal(
-            laplacian(Graph.from_edges(2, [])), np.zeros((2, 2))
+            laplacian(Graph(2, [])), np.zeros((2, 2))
         )
 
     def test_single_edge(self):
@@ -149,7 +173,7 @@ class TestLaplacian:
 
 
     @pytest.mark.parametrize("graph", [
-        grid_graph(7, 5), star_graph(6), Graph.from_edges(4, []),
+        grid_graph(7, 5), star_graph(6), Graph(4, []),
         random_graph(np.random.default_rng(8), 13),
     ], ids=["grid", "star", "edgeless", "random"])
     def test_bits_match_degree_minus_adjacency(self, graph):
@@ -161,15 +185,15 @@ class TestLaplacian:
 
     def test_size_beyond_physical_memory_is_refused_before_allocating(self):
         with pytest.raises(ValueError, match="n=1000000 nodes"):
-            laplacian(Graph.from_edges(10**6, [(0, 1)]))
+            laplacian(Graph(10**6, [(0, 1)]))
 
     def test_size_whose_dense_peak_exceeds_memory_is_refused(self, monkeypatch):
         # one 1000 x 1000 array is 8 MB and fits in 40 MB; the ten arrays the
         # dense path holds at its peak do not
         fake_physical_memory(monkeypatch, 40 * 10**6)
         with pytest.raises(ValueError, match="n=1000 nodes needs 0.1 GiB, more than"):
-            laplacian(Graph.from_edges(1000, [(0, 1)]))
-        assert laplacian(Graph.from_edges(700, [(0, 1)])).shape == (700, 700)
+            laplacian(Graph(1000, [(0, 1)]))
+        assert laplacian(Graph(700, [(0, 1)])).shape == (700, 700)
 
     def test_output_is_read_only(self):
         lap = laplacian(path_graph(3))
@@ -419,7 +443,7 @@ class TestGenerators:
         dist = {(i, j): np.hypot(*(pts[i] - pts[j]))
                 for i in range(n) for j in range(i + 1, n)}
         for radius in (0.05, 0.3, 1.5):
-            expected = Graph.from_edges(n, [pair for pair, d in dist.items() if d <= radius])
+            expected = Graph(n, [pair for pair, d in dist.items() if d <= radius])
             graph = random_geometric_graph(n, radius, seed=seed)
             assert graph == expected
             assert all(type(v) is int for edge in graph.edges for v in edge)
@@ -436,7 +460,7 @@ class TestGenerators:
                 if r + 1 < height:
                     pairs.append((v, v + width))
         graph = grid_graph(width, height)
-        assert graph == Graph.from_edges(width * height, pairs)
+        assert graph == Graph(width * height, pairs)
         assert all(type(v) is int for edge in graph.edges for v in edge)
 
     def test_invalid_shapes(self):

@@ -302,7 +302,7 @@ def test_a_tree_sampled_at_its_root_has_the_depth_of_the_lca_as_covariance(sigma
     rng = np.random.default_rng(7)
     n = 300
     parent = [int(rng.integers(0, v)) for v in range(1, n)]
-    graph = Graph.from_edges(n, [(p, v) for v, p in enumerate(parent, start=1)])
+    graph = Graph(n, [(p, v) for v, p in enumerate(parent, start=1)])
     # ancestors[u, w] = 1 when w != 0 lies on the path from u to the root 0,
     # so (ancestors @ ancestors.T)[u, v] is the depth of their common ancestor
     ancestors = np.zeros((n, n))

@@ -82,7 +82,7 @@ class TestCovarianceMetric:
         )
 
     def test_flat_direction_makes_every_metric_infinite(self):
-        g = Graph.from_edges(2, [])
+        g = Graph(2, [])
         summary = posterior_for(g, (0,), 1.0)
         for metric in ("trace", "logdet", "max_eig"):
             assert covariance_metric(summary, metric) == math.inf
@@ -110,7 +110,7 @@ class TestGreedySelect:
         assert selection.nodes == oracle.nodes == (0,)
 
     def test_edgeless_tie_breaks_to_lowest_id(self):
-        g = Graph.from_edges(4, [])
+        g = Graph(4, [])
         prior = smoothness_prior(laplacian(g), 0.5)
         selection = greedy_select(prior, 1, 1.0, "trace")
         assert selection.nodes == (0,)
@@ -176,7 +176,7 @@ def disjoint_union(*graphs):
     for g in graphs:
         edges += [(i + offset, j + offset) for i, j in g.edges]
         offset += g.n
-    return Graph.from_edges(offset, edges)
+    return Graph(offset, edges)
 
 
 class TestScreenedGreedy:
@@ -511,7 +511,7 @@ class TestPermutationInvariance:
             n = 8
             g = random_graph(rng, n)
             perm = rng.permutation(n)
-            relabeled = Graph.from_edges(
+            relabeled = Graph(
                 n, [(int(perm[i]), int(perm[j])) for i, j in g.edges]
             )
             nodes = tuple(int(v) for v in rng.choice(n, size=3, replace=False))

@@ -283,6 +283,18 @@ class TestRunCalibration:
             ExperimentConfig(graph=path_graph(3), eps=0.1, sigma2=1.0, trials=1, seed=0,
                              sampling=(0.9,))
 
+    @pytest.mark.parametrize("sampling, message", [
+        ((0, 7), "node id 7 out of range for n=3"),
+        ((1, 1), "duplicate node ids in sampling set"),
+    ])
+    def test_bad_sampling_set_is_refused_when_the_config_is_built(self, sampling, message):
+        with pytest.raises(ValueError, match=message) as built:
+            ExperimentConfig(graph=path_graph(3), eps=1, sigma2=1, trials=1, seed=0,
+                             sampling=sampling)
+        with pytest.raises(ValueError) as checked:
+            SamplingOperator(n=3, nodes=sampling)
+        assert str(built.value) == str(checked.value)
+
     def test_noise_free_estimator_matches_one_fuse_per_column(self):
         # reference: the constrained mean for a unit observation at each
         # sampled node, one fuse per column
