@@ -14,12 +14,16 @@ with two checkouts the order alternates from run to run. A process builds
 the edge-list text of the W x W grid (a ``# n=<N>`` header, then each
 node's right and down neighbour, row-major), times one ``load_edge_list``
 call on it and one ``grid_graph(W, W)`` call, and checks that the two
-graphs are equal.
+graphs are equal. Beside each time it counts the garbage collections of
+generations 0, 1 and 2 that ran during the call (``gc.get_stats()``, read
+outside the timed span): a time moved by where a collection landed tells
+itself apart from one moved by the code.
 
 One entry per width and checkout is appended to ``BENCH_intake.json`` at
 the root of this repository: the commit id, whether its ``src/`` differs
 from it, every run's wall time of each call with their median and
-quartiles, the node and edge counts and the versions of Python and numpy.
+quartiles and every run's collection counts, the node and edge counts and
+the versions of Python and numpy.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ BENCH_PATH = os.path.join(ROOT, "BENCH_intake.json")
 WIDTHS = (33, 316)
 
 CHILD = r"""
-import json, platform, sys, time
+import gc, json, platform, sys, time
 import numpy as np
 from graphbayes import grid_graph, load_edge_list
+
+def collections():
+    return [generation["collections"] for generation in gc.get_stats()]
 
 width = int(sys.argv[1])
 lines = [f"# n={width * width}"]
@@ -49,15 +56,20 @@ for v in range(width * width):
         lines.append(f"{v} {v + width}")
 text = "\n".join(lines) + "\n"
 
+before = collections()
 start = time.perf_counter()
 parsed = load_edge_list(text)
 load_s = time.perf_counter() - start
+load_gc = [b - a for a, b in zip(before, collections())]
+before = collections()
 start = time.perf_counter()
 generated = grid_graph(width, width)
 grid_s = time.perf_counter() - start
+grid_gc = [b - a for a, b in zip(before, collections())]
 assert parsed == generated
 print(json.dumps({
     "load_edge_list_s": load_s, "grid_graph_s": grid_s,
+    "load_edge_list_collections": load_gc, "grid_graph_collections": grid_gc,
     "n": parsed.n, "edges": len(parsed.edges),
     "python": platform.python_version(), "numpy": np.__version__,
 }))
@@ -67,7 +79,13 @@ print(json.dumps({
 def _timings(results, name):
     seconds = [r[f"{name}_s"] for r in results]
     return {f"{name}_s": seconds, f"{name}_median_s": statistics.median(seconds),
-            f"{name}_quartiles_s": _quartiles(seconds)[::2]}
+            f"{name}_quartiles_s": _quartiles(seconds)[::2],
+            f"{name}_collections": [r[f"{name}_collections"] for r in results]}
+
+
+def _collections(entry, name):
+    """Collections of generations 0/1/2 during ``name``'s calls, summed over the runs."""
+    return "/".join(str(sum(gens)) for gens in zip(*entry[f"{name}_collections"]))
 
 
 def main():
@@ -96,10 +114,12 @@ def main():
             print(f"{entry['grid']:7s} {entry['commit'][:7]}{'+' if entry['dirty'] else ''}: "
                   f"load_edge_list median {entry['load_edge_list_median_s']:.4f} s "
                   f"(quartiles {entry['load_edge_list_quartiles_s'][0]:.4f} "
-                  f"{entry['load_edge_list_quartiles_s'][1]:.4f}), "
+                  f"{entry['load_edge_list_quartiles_s'][1]:.4f}; "
+                  f"gc 0/1/2 {_collections(entry, 'load_edge_list')}), "
                   f"grid_graph median {entry['grid_graph_median_s']:.4f} s "
                   f"(quartiles {entry['grid_graph_quartiles_s'][0]:.4f} "
-                  f"{entry['grid_graph_quartiles_s'][1]:.4f}), "
+                  f"{entry['grid_graph_quartiles_s'][1]:.4f}; "
+                  f"gc 0/1/2 {_collections(entry, 'grid_graph')}), "
                   f"n={entry['n']} edges={entry['edges']}", flush=True)
 
     _append(BENCH_PATH, entries)

@@ -49,8 +49,8 @@ def map_in_order(work, tasks, workers):
     first failing task's exception is raised; a failure cancels the tasks
     not started, and no helper thread outlives the call.
     """
-    if workers <= 1:
-        return [work(task) for task in tasks]
+    if workers <= 1:  # map drops each task once it has run, before the next is built
+        return list(map(work, tasks))
     # imported here, so that a process that never starts a pool does not
     # load concurrent.futures and logging (0.4 MB of peak RSS, 5 ms of import)
     from concurrent.futures import Future, ThreadPoolExecutor

@@ -105,6 +105,10 @@ def _cmd_estimate(args):
     graph = _load_graph(args.graph_file, args.one_based)
     lap = laplacian(graph)
     values = read_signal_csv(_read_text(args.signal_file))
+    outside = sorted(v for v in values if not 0 <= v < graph.n)
+    if outside:
+        raise CliError(f"signal file has rows for nodes {outside} outside range({graph.n}) "
+                       "of the graph; signal ids are 0-based, with --one-based too")
 
     if args.noise_free and args.sigma2 is not None:
         raise CliError("--noise-free and --sigma2 are mutually exclusive")

@@ -186,12 +186,14 @@ def _eigen_split(symmetric, tau):
 def _projected(prior, observation):
     """:func:`_restrict` with the fused precision projected onto the
     constraint kernel, ``kernel.T @ P @ kernel`` (``P`` itself without
-    constraints), and symmetrized: the matrix whose spectrum splits the
-    posterior, for :func:`fuse` and for greedy selection's exact scores."""
+    constraints). Symmetrized by ``graph_core._symmetrized`` it is the
+    matrix whose spectrum splits the posterior: :func:`fuse` symmetrizes it
+    into a new array, greedy selection's exact scores into a slot of their
+    stack."""
     precision, kernel, *rest = _restrict(prior, observation)
     if kernel is not None:
         precision = kernel.T @ precision @ kernel
-    return (_symmetrized(precision), kernel, *rest)
+    return (precision, kernel, *rest)
 
 
 def _lift(kernel, coords):
@@ -229,7 +231,7 @@ def fuse(prior, observation):
     directly, with no projection through an identity kernel.
     """
     projected, kernel, zero_basis, particular, g, tau = _projected(prior, observation)
-    evals, evecs, finite = _eigen_split(projected, tau)
+    evals, evecs, finite = _eigen_split(_symmetrized(projected), tau)
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
     return PosteriorSummary(

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import _kernels
 from .belief import SamplingOperator, _observed, partial_observation
-from .graph_core import _as_index, _as_scalar
+from .graph_core import _as_index, _as_scalar, _symmetrized
 from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select"]
@@ -55,9 +54,11 @@ def _metric_rule(values, flat, zero, metric):
 # round scores every candidate exactly.
 _SCREEN_RTOL = 1e-8
 
-# Bytes of the candidate matrices of one chunk, which a round builds and hands
-# to eigh in stacks; a round holds about one chunk per thread, never all.
-_SLICE_BYTES = 1 << 20
+# Bytes of the candidate matrices of one chunk, which a round symmetrizes
+# straight into preallocated stacks for eigh: at most workers + 1 stacks are
+# in flight (_kernels.map_in_order), each candidate's matrix held once, in
+# its slot; never all of a round.
+_SLICE_BYTES = 1 << 19
 
 
 def _posterior(prior, nodes, sigma2):
@@ -113,14 +114,16 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
     for each ``v`` of ``candidates``, bit for bit, from stacked eigendecompositions.
 
     ``candidates`` is cut into chunks of at most ``_SLICE_BYTES``, about as
-    many per thread. The calling thread builds each chunk's projected
-    precisions, the matrices :func:`fuse` eigendecomposes, from each
-    candidate's observation arrays by index (``belief._observed``, no belief
-    per candidate; ``sigma2`` is a checked float), and stacks each run of
-    equal kernel size for :func:`_eigen_split`, which runs on the caller and
-    one helper per further core, the caller taking back stacks no helper has
-    started; ``eigh`` takes a stack one matrix at a time, so neither the
-    chunking nor the thread count moves a bit.
+    many per thread. The calling thread builds each candidate's projected
+    precision, the matrix :func:`fuse` eigendecomposes, from its
+    observation arrays by index (``belief._observed``, no belief per
+    candidate; ``sigma2`` is a checked float), and symmetrizes it straight
+    into its slot of a stack preallocated for the rest of the chunk; a new
+    stack starts only where the kernel size changes. Each stack goes to
+    :func:`_eigen_split`, which runs on the caller and one helper per
+    further core, the caller taking back stacks no helper has started;
+    ``eigh`` takes a stack one matrix at a time, so neither the chunking
+    nor the thread count moves a bit.
     """
     n = prior.n
     per_slice = max(1, _SLICE_BYTES // (8 * n * n))  # a kernel has at most n dims
@@ -133,14 +136,19 @@ def _exact_scores(prior, selected, candidates, sigma2, metric):
 
     def build():
         for lo in range(0, len(candidates), per_slice):
-            chunk = []
-            for v in candidates[lo:lo + per_slice]:
+            chunk, taus, zeros = candidates[lo:lo + per_slice], [], []
+            for i, v in enumerate(chunk):
                 projected, _, zero_basis, _, _, tau = _projected(
                     prior, _observed(n, selected + [v], observed, sigma2))
-                chunk.append((projected, tau, zero_basis.shape[1]))
-            for _, run in itertools.groupby(chunk, key=lambda built: built[0].shape[0]):
-                matrices, taus, zeros = zip(*run)
-                yield np.stack(matrices), np.array(taus), zeros
+                if taus and projected.shape != stack.shape[1:]:
+                    yield stack[:len(taus)], taus, zeros
+                    taus, zeros = [], []
+                if not taus:  # a stack for the rest of the chunk
+                    stack = np.empty((len(chunk) - i, *projected.shape))
+                _symmetrized(projected, out=stack[len(taus)])
+                taus.append(tau)
+                zeros.append(zero_basis.shape[1])
+            yield stack[:len(taus)], taus, zeros
 
     def split(task):
         stack, taus, zeros = task
@@ -198,8 +206,10 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     bit for bit, but computed together: each candidate's observation is
     built from arrays by index, with no sampling operator or belief per
     candidate, and its projected precision on the calling thread, in chunks
-    of at most 1 MiB; each run of equal kernel size in a chunk is stacked
-    and eigendecomposed by one ``eigh`` call, on the calling thread and one
+    of at most 512 KiB, symmetrized straight into its slot of a stack, so
+    that a round holds each candidate's matrix once and at most one stack
+    per thread and one more; a stack, which a new kernel size ends, is
+    eigendecomposed by one ``eigh`` call, on the calling thread and one
     helper thread per further core (:func:`._kernels.map_in_order`).
     ``eigh`` takes a stack one matrix at a time and the scores are read in
     candidate order, so the bits and the set do not depend on the thread

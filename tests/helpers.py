@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,20 @@ def exhaustive_select(prior, budget, sigma2, metric="trace"):
 # so that the scalar reference below does not read them from the library
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+
+
+def allocated_beyond_result(call):
+    """Run ``call`` and return (its result, the bytes its peak allocation
+    exceeded the memory still held once it returned), as tracemalloc, to
+    which numpy reports its array buffers, counts them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current
 
 
 def mix64(z):

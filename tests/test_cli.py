@@ -118,6 +118,18 @@ class TestEstimate:
         assert code == 1
         assert "lacks values" in err
 
+    @pytest.mark.parametrize("one_based", [False, True])
+    def test_signal_rows_outside_the_graph_exit_one(self, capsys, tmp_path, one_based):
+        graph, signal = tmp_path / "p3.edges", tmp_path / "s3.csv"
+        graph.write_text("# n=3\n1 2\n2 3\n" if one_based else "# n=3\n0 1\n1 2\n")
+        signal.write_text("node,value\n0,1.0\n1,2.0\n2,3.0\n7,9.0\n-1,4\n")
+        argv = ["estimate", str(graph), str(signal), "--sigma2", "1"]
+        code, out, err = run_cli(capsys, argv + ["--one-based"] * one_based)
+        assert code == 1
+        assert out == ""
+        assert "nodes [-1, 7] outside range(3)" in err
+        assert "0-based" in err
+
     def test_byte_order_marks_do_not_change_the_output(self, capsys, tmp_path):
         # as Excel's "CSV UTF-8" and Windows Notepad write them
         graph, signal = tmp_path / "p3.edges", tmp_path / "p3.csv"

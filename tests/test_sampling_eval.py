@@ -33,8 +33,11 @@ from graphbayes import (
     subspace_prior,
 )
 from graphbayes import _kernels, sampling_eval
+from graphbayes.belief import _observed
+from graphbayes.inference import _projected
 
 from helpers import (
+    allocated_beyond_result,
     exhaustive_select,
     random_connected_graph,
     random_graph,
@@ -375,6 +378,23 @@ class TestStackedExactScores:
         assert stacks == [(1, 2, 2), (3, 1, 1), (1, 2, 2), (3, 1, 1)]
         assert [float(s).hex() for s in scores] == expected
 
+    def test_a_round_holds_each_candidate_matrix_once(self, monkeypatch):
+        # round 1 of the 9x9 logdet case on one thread: every candidate's
+        # matrix is symmetrized into its slot of a stack, so the round's peak
+        # is one stack, eigh's eigenvectors of it and one candidate's
+        # transients; a chunk held as a list and as its stacked copy is not
+        monkeypatch.setattr(_kernels, "_cores", lambda: 1)
+        prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
+        n = prior.n
+        matrix = 8 * n * n
+        stack = sampling_eval._SLICE_BYTES // matrix * matrix
+        _, candidate = allocated_beyond_result(
+            lambda: _projected(prior, _observed(n, [0], np.zeros(1), 1.0))[-1])
+        scores, extra = allocated_beyond_result(
+            lambda: sampling_eval._exact_scores(prior, [], list(range(n)), 1.0, "logdet"))
+        assert len(scores) == n
+        assert extra <= 2 * stack + candidate
+
     def test_no_pool_thread_outlives_greedy_select(self, monkeypatch):
         started = []
         start = threading.Thread.start
@@ -412,7 +432,7 @@ class TestStackedExactScores:
         monkeypatch.setattr(_kernels, "_cores", lambda: 2)
         prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
         fuse(prior, partial_observation(SamplingOperator(n=81, nodes=(3,)), np.zeros(1), 1.0))
-        # exact scores of 1, 8 and 1 candidates: 19 matrices fit in a slice
+        # exact scores of 1, 8 and 1 candidates: 9 matrices fit in a slice
         assert greedy_select(prior, 3, 0.0, "trace").nodes == (16, 40, 65)
         assert started == []
         # 81 candidates take more than one slice, hence a pool
@@ -440,7 +460,7 @@ class TestStackedExactScores:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         monkeypatch.setattr(sampling_eval, "_eigen_split", slow_split)
         monkeypatch.setattr(_kernels, "_cores", lambda: cores)
-        # 81 candidates take six stacks, more than one slice per thread
+        # 81 candidates take nine stacks, more than one slice per thread
         scores = sampling_eval._exact_scores(prior, [], list(range(81)), 1.0, "logdet")
         assert [float(s).hex() for s in scores] == [float(s).hex() for s in expected]
         assert 1 <= len(started) <= cores - 1
