@@ -231,7 +231,8 @@ def fuse(prior, observation):
     directly, with no projection through an identity kernel.
     """
     projected, kernel, zero_basis, particular, g, tau = _projected(prior, observation)
-    evals, evecs, finite = _eigen_split(_symmetrized(projected), tau)
+    projected = _symmetrized(projected)  # rebound: eigh runs beside one m x m array, not two
+    evals, evecs, finite = _eigen_split(projected, tau)
     g_rot = evecs.T @ g
     y = evecs[:, finite] @ (g_rot[finite] / evals[finite])
     return PosteriorSummary(

@@ -7,10 +7,21 @@ of an eighth of it catches an observation or a sum built through a dense
 intermediate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from graphbayes import PosteriorSummary, SamplingOperator, partial_observation
+from graphbayes import (
+    PosteriorSummary,
+    SamplingOperator,
+    fuse,
+    grid_graph,
+    laplacian,
+    partial_observation,
+    smoothness_prior,
+)
+from graphbayes import inference
 from graphbayes.belief import _add_precisions
 from graphbayes.sampling_eval import _screen
 
@@ -62,3 +73,26 @@ def test_greedy_screen_forms_no_dense_covariance(metric):
     (scores, _), extra = allocated_beyond_result(lambda: _screen(summary, 1.0, metric))
     assert scores.shape == (n,)
     assert extra < 1.5 * 8 * n * n
+
+
+def test_fuse_eigendecomposes_beside_one_dense_matrix(monkeypatch):
+    # the bytes traced when eigh starts: eigh's workspace is untraced but
+    # shares the heap, so the unsymmetrized fused precision must be gone
+    # once its symmetrized copy exists
+    n = 300
+    prior = smoothness_prior(laplacian(grid_graph(15, 20)), 0.0)
+    obs = partial_observation(SamplingOperator(n=n, nodes=tuple(range(0, n, 3))),
+                              np.ones(100), 1.0)
+    live, split = [], inference._eigen_split
+
+    def traced_split(symmetric, tau):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return split(symmetric, tau)
+
+    monkeypatch.setattr(inference, "_eigen_split", traced_split)
+    tracemalloc.start()
+    try:
+        fuse(prior, obs)
+    finally:
+        tracemalloc.stop()
+    assert live[0] < 1.5 * 8 * n * n
