@@ -36,6 +36,11 @@ for each ``end_to_end`` metric:
   ``bound`` times its median, and not every run of the second checkout
   beats every run of the first;
 - ``level``: otherwise.
+
+It also adds up, for each workload and checkout, the failed and the
+attempted jobs of the runs with a result. With two checkouts the failed
+share gets a verdict too: ``worse`` when the second checkout's
+``failed / attempted`` is larger than the first's, ``level`` otherwise.
 """
 
 from __future__ import annotations
@@ -152,9 +157,21 @@ def _verdict(first, second, wins, pairs, better, bound):
 
 def _summary(entries, checkouts):
     for workload in dict.fromkeys(e["workload"] for e in entries):
-        runs = {c: {e["seed"]: e["result"]["metrics"] for e in entries
-                    if e["workload"] == workload and e["checkout"] == c and e["result"]}
+        done = {c: [e["result"] | {"seed": e["seed"]} for e in entries
+                    if e["workload"] == workload and e["checkout"] == c and e["result"]]
                 for c in checkouts}
+        # (failed, attempted) jobs over each checkout's runs
+        jobs = {c: [sum(r.get(key, 0) for r in done[c]) for key in ("failed", "attempted")]
+                for c in checkouts}
+        for c, (failed, attempted) in jobs.items():
+            if attempted:
+                print(f"{workload:10s} {'failed_share':36s} {c}: {failed} failed "
+                      f"of {attempted} jobs")
+        if len(checkouts) == 2 and all(attempted for _, attempted in jobs.values()):
+            (failed_a, attempted_a), (failed_b, attempted_b) = jobs.values()
+            verdict = "worse" if failed_b * attempted_a > failed_a * attempted_b else "level"
+            print(f"{workload:10s} {'failed_share':36s} verdict: {verdict}")
+        runs = {c: {r["seed"]: r["metrics"] for r in done[c]} for c in checkouts}
         names = dict.fromkeys(name for r in runs.values() for m in r.values() for name in m)
         for name in names:
             values = {c: [m[name]["value"] for m in runs[c].values() if name in m]

@@ -75,7 +75,12 @@ class DegradedRankWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Mean plus an orthogonal decomposition of posterior uncertainty."""
+    """Mean plus an orthogonal decomposition of posterior uncertainty.
+
+    Readers outside this module ask it ``mean``, ``counts`` and the query
+    methods, which the public functions below call; only the closed forms
+    of greedy screening and the noise-free estimator take ``eigen_factor``.
+    """
 
     mean: np.ndarray
     cov_basis: np.ndarray   # (n, k) directions with finite positive variance
@@ -92,8 +97,51 @@ class PosteriorSummary:
         return self.mean.shape[0]
 
     @property
+    def counts(self):
+        """Directions of finite, infinite (flat) and zero variance."""
+        return self.cov_basis.shape[1], self.null_basis.shape[1], self.zero_basis.shape[1]
+
+    @property
     def unique_mean(self):
         return self.null_basis.shape[1] == 0
+
+    def eigen_factor(self):
+        """``(cov_basis, cov_values, null_basis)``, for closed forms in the eigenbasis."""
+        return self.cov_basis, self.cov_values, self.null_basis
+
+    def finite_spectrum(self):
+        """The eigenvalues of the covariance's finite part, in no set order."""
+        return self.cov_values
+
+    def flat_projector(self):
+        return self.null_basis @ self.null_basis.T
+
+    def covariance(self):
+        if self.null_basis.shape[1] > 0:
+            raise InfiniteVarianceError("posterior has directions of infinite variance; "
+                                        "query them directionally instead")
+        cov = self.cov_basis @ (self.cov_values[:, None] * self.cov_basis.T)
+        return _symmetrized(cov, out=cov)
+
+    def node_variances(self):
+        finite = (self.cov_basis ** 2) @ self.cov_values
+        return np.where(_flat_nodes(self.null_basis), math.inf, finite)
+
+    def variances_along(self, vectors):
+        """:func:`directional_uncertainty` of each column of ``vectors``."""
+        vectors = np.ldexp(vectors, -_binary_exponent(vectors, axis=0))
+        norms = np.linalg.norm(vectors, axis=0)
+        coeffs = self.cov_basis.T @ vectors
+        np.square(coeffs, out=coeffs)
+        variances = (self.cov_values @ coeffs) / norms**2
+        null_mass = np.linalg.norm(self.null_basis.T @ vectors, axis=0) / norms
+        variances[null_mass > DIRECTION_TOL] = math.inf
+        return variances
+
+
+def _flat_nodes(null_basis):
+    """Nodes with a component beyond ``DIRECTION_TOL`` in the flat span ``null_basis``."""
+    return np.linalg.norm(null_basis, axis=1) > DIRECTION_TOL
 
 
 def _rank(svals, size, scale):
@@ -251,41 +299,13 @@ def posterior_covariance(summary):
     contribute zero blocks. Raises :class:`InfiniteVarianceError` otherwise,
     in which case use :func:`directional_uncertainty` instead.
     """
-    if summary.null_basis.shape[1] > 0:
-        raise InfiniteVarianceError(
-            "posterior has directions of infinite variance; "
-            "query them directionally instead"
-        )
-    cov = summary.cov_basis @ (summary.cov_values[:, None] * summary.cov_basis.T)
-    return _symmetrized(cov, out=cov)
-
-
-def _flat_nodes(summary):
-    """Mask of the nodes whose direction has a component beyond
-    ``DIRECTION_TOL`` inside the flat subspace."""
-    return np.linalg.norm(summary.null_basis, axis=1) > DIRECTION_TOL
+    return summary.covariance()
 
 
 def node_variances(summary):
     """Marginal variance for each node direction; ``inf`` where the node
     has a component along a flat direction."""
-    finite = (summary.cov_basis ** 2) @ summary.cov_values
-    return np.where(_flat_nodes(summary), math.inf, finite)
-
-
-def _variances_along(summary, vectors):
-    """Posterior variance along each column of ``vectors``; ``inf`` where
-    the normalized column has a component beyond ``DIRECTION_TOL`` inside
-    the flat subspace. Each column is first scaled by the power of two of
-    :func:`_binary_exponent`, so the result does not depend on its scale."""
-    vectors = np.ldexp(vectors, -_binary_exponent(vectors, axis=0))
-    norms = np.linalg.norm(vectors, axis=0)
-    coeffs = summary.cov_basis.T @ vectors
-    np.square(coeffs, out=coeffs)
-    variances = (summary.cov_values @ coeffs) / norms**2
-    null_mass = np.linalg.norm(summary.null_basis.T @ vectors, axis=0) / norms
-    variances[null_mass > DIRECTION_TOL] = math.inf
-    return variances
+    return summary.node_variances()
 
 
 def directional_uncertainty(summary, direction):
@@ -298,7 +318,7 @@ def directional_uncertainty(summary, direction):
     direction = _as_signal(direction, summary.n, name="direction")
     if not direction.any():
         raise ValueError("direction must be a nonzero vector")
-    return float(_variances_along(summary, direction[:, None])[0])
+    return float(summary.variances_along(direction[:, None])[0])
 
 
 def spectral_uncertainty(summary, spectrum):
@@ -311,7 +331,7 @@ def spectral_uncertainty(summary, spectrum):
     """
     if spectrum.n != summary.n:
         raise ValueError("spectrum dimension does not match posterior")
-    return _variances_along(summary, spectrum.vectors)
+    return summary.variances_along(spectrum.vectors)
 
 
 def _cg_cap(unknowns):  # iterations after which conjugate gradient gives up

@@ -19,14 +19,14 @@ METRICS = ("trace", "logdet", "max_eig")
 def covariance_metric(summary, metric):
     """Scalar score of the posterior covariance; smaller is better.
 
-    Any flat (infinite-variance) direction makes every metric ``inf``.
+    It reads the summary's ``counts`` and ``finite_spectrum`` only. Any
+    flat (infinite-variance) direction makes every metric ``inf``.
     ``logdet`` is taken over the finite-variance block; when zero-variance
-    directions are present it is ``-inf``, the count of such directions
-    being readable off ``summary.zero_basis``.
+    directions are present it is ``-inf``, their count being ``counts[2]``.
     """
     _require_metric(metric)
-    return _metric_rule(summary.cov_values, summary.null_basis.shape[1],
-                        summary.zero_basis.shape[1], metric)
+    _, flat, zero = summary.counts
+    return _metric_rule(summary.finite_spectrum(), flat, zero, metric)
 
 
 def _require_metric(metric):
@@ -78,13 +78,13 @@ def _screen(base, sigma2, metric):
     direction it is the rank-one downdate of Σ by Σe_v. One sample cannot
     remove two flat directions, so then every score is ``inf``.
 
-    Σ = B diag(λ) Bᵀ with orthonormal ``cov_basis`` B and ``cov_values``
-    λ, so Σ_vv = (B∘B)λ and ‖Σe_v‖² = (B∘B)λ² come from B∘B without
-    forming Σ.
+    Σ = B diag(λ) Bᵀ with the orthonormal basis B and variances λ of
+    ``base.eigen_factor()``, which also gives the flat directions, so
+    Σ_vv = (B∘B)λ and ‖Σe_v‖² = (B∘B)λ² come from B∘B without forming Σ.
     """
-    values, basis, flat = base.cov_values, base.cov_basis, base.null_basis
+    basis, values, flat = base.eigen_factor()
     if metric == "max_eig" or flat.shape[1] > 1 or (
-            metric == "logdet" and (sigma2 == 0 or base.zero_basis.shape[1])):
+            metric == "logdet" and (sigma2 == 0 or base.counts[2])):
         return np.full(base.n, math.inf), math.inf
     if metric == "trace":
         total = size = values.sum()
@@ -100,7 +100,7 @@ def _screen(base, sigma2, metric):
                 scores = total + (sigma2 + diag) / z**2
             else:
                 scores = total - np.log(z**2 / sigma2)
-        scores[~_flat_nodes(base)] = math.inf
+        scores[~_flat_nodes(flat)] = math.inf
         return scores, size
     if metric == "logdet":
         return total - np.log1p(diag / sigma2), size

@@ -89,16 +89,16 @@ def _estimator_matrix(prior, operator, sigma2, summary):
     unit observation at the j-th sampled node: the minimum-norm point
     ``S e_j`` of the node-pinning constraints, moved by the finite-variance
     part of the posterior against the prior's pull, which gives
-    ``S - cov_basis diag(cov_values) cov_basis' P_prior S``.
+    ``S - B diag(λ) B' P_prior S``, B and λ from ``summary.eigen_factor()``.
     """
     nodes = list(operator.nodes)
     if sigma2 > 0:
         # gathered in C order, the layout the kernel's bits hold for
         return np.take(posterior_covariance(summary), nodes, axis=1) / sigma2
-    basis = summary.cov_basis
+    basis, values, _ = summary.eigen_factor()
     pull = basis.T @ prior.precision[:, nodes]
     # S by index: 0.0 - x, not -x, gives the signed zeros of S - x
-    estimator = 0.0 - basis @ (summary.cov_values[:, None] * pull)
+    estimator = 0.0 - basis @ (values[:, None] * pull)
     estimator[nodes, np.arange(len(nodes))] += 1.0
     return estimator
 

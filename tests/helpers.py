@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from graphbayes import Graph, SamplingOperator, _rng, sampling_eval
+from graphbayes import DIRECTION_TOL, Graph, InfiniteVarianceError, SamplingOperator, _rng
+from graphbayes import sampling_eval
 
 
 def random_graph(rng, n, edge_prob=0.3):
@@ -44,9 +45,15 @@ def components(graph):
     for i, j in graph.edges:
         neighbours[i].append(j)
         neighbours[j].append(i)
-    label = [-1] * graph.n
+    return _connected(neighbours)
+
+
+def _connected(neighbours):
+    """Connected components, as sorted lists, of the graph on nodes
+    ``0 .. len(neighbours) - 1`` in which ``neighbours[v]`` lists v's."""
+    label = [-1] * len(neighbours)
     found = []
-    for start in range(graph.n):
+    for start in range(len(neighbours)):
         if label[start] >= 0:
             continue
         label[start] = len(found)
@@ -153,6 +160,100 @@ def exact_posterior(graph, eps, sigma2, samples, pins):
         variances[v] = math.inf if flat else solved[a][m + a]
         mean[v] = x[a]
     return ExactPosterior(len(null), len(pins), variances, mean)
+
+
+class FactoredSummary:
+    """A posterior held in factored form, with no eigenbasis: the pins by
+    index, and the connected components of the free subgraph, each with a
+    dense inverse of its block of the fused precision (a pseudo-inverse on
+    a flat component). It answers the queries of ``PosteriorSummary``, so
+    that the public functions and the referees take it in place of one;
+    its ``eigen_factor`` raises. ``factored_fuse`` builds it."""
+
+    def __init__(self, mean, pins, blocks):
+        self.mean, self.n, self.pins = mean, mean.shape[0], pins
+        self.blocks = blocks  # (node ids, finite covariance, flat?) per component
+        self.flat = [ids for ids, _, flat in blocks if flat]
+
+    @property
+    def counts(self):
+        return self.n - len(self.pins) - len(self.flat), len(self.flat), len(self.pins)
+
+    def eigen_factor(self):
+        raise TypeError("a factored posterior holds no eigenbasis")
+
+    def finite_spectrum(self):
+        # a flat component's pseudo-inverse has its one 0 on the indicator,
+        # below every variance
+        return np.concatenate([np.linalg.eigvalsh(cov)[int(flat):]
+                               for _, cov, flat in self.blocks] + [np.zeros(0)])
+
+    def flat_projector(self):
+        projector = np.zeros((self.n, self.n))
+        for ids in self.flat:
+            projector[np.ix_(ids, ids)] = 1.0 / ids.size
+        return projector
+
+    def _finite_covariance(self):
+        cov = np.zeros((self.n, self.n))
+        for ids, block, _ in self.blocks:
+            cov[np.ix_(ids, ids)] = block
+        return cov
+
+    def covariance(self):
+        if self.flat:
+            raise InfiniteVarianceError("posterior has directions of infinite variance")
+        return self._finite_covariance()
+
+    def node_variances(self):
+        variances = np.diagonal(self._finite_covariance()).copy()
+        for ids in self.flat:
+            variances[ids] = math.inf
+        return variances
+
+    def variances_along(self, vectors):
+        vectors = vectors / np.max(np.abs(vectors), axis=0)
+        norms = np.linalg.norm(vectors, axis=0)
+        variances = np.sum(vectors * (self._finite_covariance() @ vectors), axis=0) / norms**2
+        flat_mass = np.linalg.norm(self.flat_projector() @ vectors, axis=0) / norms
+        variances[flat_mass > DIRECTION_TOL] = math.inf
+        return variances
+
+
+def factored_fuse(prior, observation):
+    """The posterior of ``fuse(prior, observation)`` as a
+    :class:`FactoredSummary`, for a fused precision ``P`` that is a graph
+    Laplacian plus a non-negative diagonal and constraint rows that pin
+    nodes. The pins take their rows and columns out of ``P``, and the free
+    block ``P_ff`` gets the information ``h_f - P_fp d_p``. A connected
+    component of the free subgraph (the pattern of ``P_ff``) is flat
+    exactly where every row of ``P_ff`` sums to 0: its block is then a
+    connected Laplacian, flat along the component's indicator ``1``, and
+    its finite part ``inv(B + 11'/c) - 11'/c`` for a block ``B`` of ``c``
+    nodes. Every other block is positive definite and inverted as it is.
+    The mean is each finite part times the information."""
+    n = prior.n
+    precision = sum(np.diag(p) if p.ndim == 1 else p
+                    for p in (prior.precision, observation.precision))
+    rows = np.vstack([prior.constraints, observation.constraints])
+    pins = np.argmax(rows, axis=1)
+    assert np.array_equal(rows, np.eye(n)[pins]), "constraint rows that are not pins"
+    values = np.concatenate([prior.targets, observation.targets])
+    free = np.setdiff1d(np.arange(n), pins)
+    block = precision[np.ix_(free, free)]
+    rhs = (prior.info + observation.info)[free] - precision[np.ix_(free, pins)] @ values
+    mean = np.zeros(n)
+    mean[pins] = values
+    blocks = []
+    linked = (block != 0) & ~np.eye(free.size, dtype=bool)
+    for members in _connected([np.flatnonzero(row) for row in linked]):
+        inner = block[np.ix_(members, members)]
+        flat = not block[members].sum(axis=1).any()
+        mass = np.full(inner.shape, flat / len(members))
+        cov = np.linalg.inv(inner + mass) - mass
+        mean[free[members]] = cov @ rhs[members]
+        blocks.append((free[members], cov, flat))
+    return FactoredSummary(mean, pins, blocks)
 
 
 def score(prior, nodes, sigma2, metric):

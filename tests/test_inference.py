@@ -19,6 +19,7 @@ from graphbayes import (
     SolverDivergenceError,
     SubspaceBasis,
     bandlimit_basis,
+    covariance_metric,
     directional_uncertainty,
     full_observation,
     fuse,
@@ -38,11 +39,11 @@ from graphbayes import (
     spectral_uncertainty,
     subspace_prior,
 )
-from graphbayes import inference
+from graphbayes import inference, sampling_eval
 from graphbayes.graph_core import _is_sealed
 from graphbayes.inference import RANK_TOL, _conjugate_gradient
 
-from helpers import random_connected_graph, random_graph, two_component_graph
+from helpers import factored_fuse, random_connected_graph, random_graph, two_component_graph
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -259,6 +260,65 @@ class TestPosteriorAccessors:
                                    null_basis=np.zeros((2, 0)), zero_basis=np.zeros((2, 0)))
         mean[0] = 5.0
         np.testing.assert_array_equal(summary.mean, [1.0, 1.0])
+
+
+class TestPosteriorQueries:
+    """The queries of ``PosteriorSummary`` read its eigen fields, and the
+    factored summary of tests/helpers.py answers them with no eigenbasis."""
+
+    @staticmethod
+    def _blobs(build, sigma2=0.0, nodes=(0, 3)):
+        # samples in the first blob only leave the second one flat
+        prior = smoothness_prior(laplacian(two_component_graph()), 0.0)
+        obs = partial_observation(SamplingOperator(n=10, nodes=nodes),
+                                  np.linspace(-0.5, 1.5, len(nodes)), sigma2)
+        return build(prior, obs)
+
+    def test_the_queries_are_the_eigen_fields(self):
+        summary = self._blobs(fuse)
+        assert summary.counts == (7, 1, 2)
+        assert summary.counts == tuple(getattr(summary, name).shape[1]
+                                       for name in ("cov_basis", "null_basis", "zero_basis"))
+        basis, values, flat = summary.eigen_factor()
+        assert basis is summary.cov_basis and values is summary.cov_values
+        assert flat is summary.null_basis
+        assert summary.finite_spectrum() is summary.cov_values
+        np.testing.assert_array_equal(summary.flat_projector(), flat @ flat.T)
+        np.testing.assert_array_equal(node_variances(summary), summary.node_variances())
+        with pytest.raises(InfiniteVarianceError):
+            summary.covariance()
+
+    @pytest.mark.parametrize("nodes", [(0, 3), (0, 3, 7)], ids=["flat", "proper"])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3])
+    def test_a_factored_summary_answers_as_fuse_does(self, sigma2, nodes):
+        eigen, factored = (self._blobs(build, sigma2, nodes) for build in (fuse, factored_fuse))
+        assert factored.counts == eigen.counts
+        np.testing.assert_allclose(factored.mean, eigen.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(node_variances(factored), node_variances(eigen), rtol=1e-12)
+        np.testing.assert_allclose(factored.flat_projector(), eigen.flat_projector(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sort(factored.finite_spectrum()),
+                                   np.sort(eigen.finite_spectrum()), rtol=1e-12)
+        for metric in ("trace", "logdet", "max_eig"):
+            assert covariance_metric(factored, metric) == pytest.approx(
+                covariance_metric(eigen, metric), rel=1e-12)
+        spectrum = spectral_decomposition(laplacian(two_component_graph()))
+        np.testing.assert_allclose(spectral_uncertainty(factored, spectrum),
+                                   spectral_uncertainty(eigen, spectrum), rtol=1e-12)
+        for direction in (np.arange(10.0), np.r_[np.ones(5), np.zeros(5)] * 1e-30):
+            assert directional_uncertainty(factored, direction) == pytest.approx(
+                directional_uncertainty(eigen, direction), rel=1e-12)
+        if eigen.counts[1]:
+            with pytest.raises(InfiniteVarianceError):
+                posterior_covariance(factored)
+        else:
+            np.testing.assert_allclose(posterior_covariance(factored),
+                                       posterior_covariance(eigen), rtol=0, atol=1e-12)
+
+    def test_a_factored_summary_has_no_eigen_factor(self):
+        factored = self._blobs(factored_fuse, 0.3)
+        with pytest.raises(TypeError, match="no eigenbasis"):
+            sampling_eval._screen(factored, 0.3, "trace")
 
 
 class TestDirectionalUncertainty:

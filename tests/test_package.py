@@ -93,3 +93,36 @@ def test_every_definition_has_a_caller_in_the_package_or_is_exported():
                 and node.name not in getattr(importlib.import_module(f"graphbayes.{stem}"),
                                              "__all__", ())]
     assert uncalled == []
+
+
+EIGEN_FIELDS = {"cov_basis", "cov_values", "null_basis", "zero_basis"}
+
+
+def _attribute_reads(tree, names):
+    """The names of the functions, at any depth, that read an attribute in
+    ``names``; a read at module level counts under ``None``."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            readers.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return readers
+
+
+def test_only_inference_reads_the_eigen_fields_and_two_readers_the_factor():
+    # outside inference, a posterior is asked through its queries; the two
+    # closed forms that need the eigen factor take it from eigen_factor()
+    package = pathlib.Path(graphbayes.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+             if path.stem != "inference"}
+    fields = {stem: _attribute_reads(tree, EIGEN_FIELDS) for stem, tree in trees.items()}
+    factor = {stem: _attribute_reads(tree, {"eigen_factor"}) for stem, tree in trees.items()}
+    assert {stem: readers for stem, readers in fields.items() if readers} == {}
+    assert {stem: readers for stem, readers in factor.items() if readers} == {
+        "sampling_eval": {"_screen"}, "simulate": {"_estimator_matrix"}}

@@ -46,6 +46,10 @@ def _verdicts(capsys, parent, change, name="job_s"):
     entries = [_entry(side, seed, {name: value, "trials_per_s": 1.0})
                for side, values in (("a", parent), ("b", change))
                for seed, value in enumerate(values, start=1)]
+    return _verdicts_of(capsys, entries)
+
+
+def _verdicts_of(capsys, entries):
     record._summary(entries, ["a", "b"])
     return {line.split()[1]: line.split()[-1]
             for line in capsys.readouterr().out.splitlines() if "verdict:" in line}
@@ -87,3 +91,21 @@ def test_no_verdict_for_a_per_layer_metric_or_a_single_checkout(capsys):
     assert "trials_per_s" not in _verdicts(capsys, PARENT, PARENT)
     record._summary([_entry("a", 1, {"job_s": 1.0})], ["a"])
     assert "verdict" not in capsys.readouterr().out
+
+
+def test_a_larger_share_of_failed_jobs_is_worse(capsys):
+    def verdicts(parent, change):
+        """{metric: verdict} for runs that fail ``parent`` and ``change`` jobs
+        (failed, attempted), one pair of runs per element."""
+        entries = [_entry(side, seed, {"job_s": 1.0})
+                   for side, runs in (("a", parent), ("b", change))
+                   for seed, _ in enumerate(runs, start=1)]
+        for entry, (failed, attempted) in zip(entries, parent + change):
+            entry["result"].update(failed=failed, attempted=attempted)
+        return _verdicts_of(capsys, entries)
+
+    assert verdicts([(0, 30)] * 2, [(0, 30)] * 2)["failed_share"] == "level"
+    assert verdicts([(0, 30)] * 2, [(0, 30), (1, 30)])["failed_share"] == "worse"
+    # a share, not a count: 2 of 80 jobs fail less often than 1 of 30
+    assert verdicts([(1, 30), (0, 0)], [(1, 40), (1, 40)])["failed_share"] == "level"
+    assert verdicts([(1, 40), (1, 40)], [(1, 30), (0, 0)])["failed_share"] == "worse"
