@@ -49,6 +49,7 @@ DIRECTION_TOL = 1e-8
 
 _CONSISTENCY_TOL = 1e-8
 _CG_RTOL = 1e-10  # relative residual at which conjugate gradient stops
+_FACTORED_MIN_N = 1024  # nodes from which fuse factors a graph posterior
 
 
 class InconsistentConstraintsError(ValueError):
@@ -73,8 +74,45 @@ class DegradedRankWarning(UserWarning):
     reconstruction was returned."""
 
 
+class _Queries:
+    """The queries both summary types answer by one rule, from their flat span."""
+
+    @property
+    def n(self):
+        return self.mean.shape[0]
+
+    @property
+    def unique_mean(self):
+        return self.counts[1] == 0
+
+    def flat_projector(self):
+        null = self._null_basis()
+        return null @ null.T
+
+    def covariance(self):
+        if self.counts[1] > 0:
+            raise InfiniteVarianceError("posterior has directions of infinite variance; "
+                                        "query them directionally instead")
+        return self._finite_covariance()
+
+    def node_variances(self):
+        return np.where(_flat_nodes(self._null_basis()), math.inf, self._finite_variances())
+
+    def variances_along(self, vectors):
+        """:func:`directional_uncertainty` of each column of ``vectors``."""
+        vectors = np.ldexp(vectors, -_binary_exponent(vectors, axis=0))
+        norms = np.linalg.norm(vectors, axis=0)
+        variances = self._finite_quadratic(vectors) / norms**2
+        null_mass = self._flat_norms(vectors) / norms
+        variances[null_mass > DIRECTION_TOL] = math.inf
+        return variances
+
+    def _flat_norms(self, vectors):
+        return np.linalg.norm(self._null_basis().T @ vectors, axis=0)
+
+
 @dataclass(frozen=True)
-class PosteriorSummary:
+class PosteriorSummary(_Queries):
     """Mean plus an orthogonal decomposition of posterior uncertainty.
 
     Readers outside this module ask it ``mean``, ``counts`` and the query
@@ -93,17 +131,9 @@ class PosteriorSummary:
             object.__setattr__(self, field.name, _frozen(getattr(self, field.name)))
 
     @property
-    def n(self):
-        return self.mean.shape[0]
-
-    @property
     def counts(self):
         """Directions of finite, infinite (flat) and zero variance."""
         return self.cov_basis.shape[1], self.null_basis.shape[1], self.zero_basis.shape[1]
-
-    @property
-    def unique_mean(self):
-        return self.null_basis.shape[1] == 0
 
     def eigen_factor(self):
         """``(cov_basis, cov_values, null_basis)``, for closed forms in the eigenbasis."""
@@ -113,30 +143,72 @@ class PosteriorSummary:
         """The eigenvalues of the covariance's finite part, in no set order."""
         return self.cov_values
 
-    def flat_projector(self):
-        return self.null_basis @ self.null_basis.T
+    def _null_basis(self):
+        return self.null_basis
 
-    def covariance(self):
-        if self.null_basis.shape[1] > 0:
-            raise InfiniteVarianceError("posterior has directions of infinite variance; "
-                                        "query them directionally instead")
+    def _finite_covariance(self):
         cov = self.cov_basis @ (self.cov_values[:, None] * self.cov_basis.T)
         return _symmetrized(cov, out=cov)
 
-    def node_variances(self):
-        finite = (self.cov_basis ** 2) @ self.cov_values
-        return np.where(_flat_nodes(self.null_basis), math.inf, finite)
+    def _finite_variances(self):
+        return (self.cov_basis ** 2) @ self.cov_values
 
-    def variances_along(self, vectors):
-        """:func:`directional_uncertainty` of each column of ``vectors``."""
-        vectors = np.ldexp(vectors, -_binary_exponent(vectors, axis=0))
-        norms = np.linalg.norm(vectors, axis=0)
+    def _finite_quadratic(self, vectors):
         coeffs = self.cov_basis.T @ vectors
         np.square(coeffs, out=coeffs)
-        variances = (self.cov_values @ coeffs) / norms**2
-        null_mass = np.linalg.norm(self.null_basis.T @ vectors, axis=0) / norms
-        variances[null_mass > DIRECTION_TOL] = math.inf
+        return self.cov_values @ coeffs
+
+
+class _FactoredSummary(_Queries):
+    """The posterior of :func:`fuse` by index: the pins, and per component
+    of the free nodes its ids, the inverse ``W`` of its block's Cholesky
+    factor and whether it is flat; its covariance is ``W'W``, less ``11'/c``
+    on a flat block of ``c`` nodes."""
+
+    def __init__(self, mean, pins, blocks):
+        self.mean, self.pins, self.blocks = _frozen(mean), pins, blocks
+        self._flat = [ids for ids, _, flat in blocks if flat]
+
+    @property
+    def counts(self):
+        return self.n - len(self.pins) - len(self._flat), len(self._flat), len(self.pins)
+
+    def eigen_factor(self):
+        """:class:`PosteriorSummary`'s fields from one ``eigh``: the lowest
+        ``counts[1] + counts[2]`` eigenvalues are the flat and pinned zeros."""
+        evals, evecs = np.linalg.eigh(self._finite_covariance())
+        cut = self.counts[1] + self.counts[2]
+        return evecs[:, cut:], evals[cut:], self._null_basis()
+
+    def finite_spectrum(self):
+        return np.linalg.eigvalsh(self._finite_covariance())[self.counts[1] + self.counts[2]:]
+
+    def _null_basis(self):
+        null = np.zeros((self.n, len(self._flat)))
+        for k, ids in enumerate(self._flat):
+            null[ids, k] = ids.size ** -0.5
+        return null
+
+    def _finite_covariance(self):
+        cov = np.zeros((self.n, self.n))
+        for ids, inverse, flat in self.blocks:
+            cov[np.ix_(ids, ids)] = inverse.T @ inverse - flat / ids.size
+        return cov
+
+    def _finite_variances(self):
+        variances = np.zeros(self.n)
+        for ids, inverse, _ in self.blocks:
+            variances[ids] = np.einsum("ij,ij->j", inverse, inverse)
         return variances
+
+    def _finite_quadratic(self, vectors):
+        total = np.zeros(vectors.shape[1])
+        for ids, inverse, _ in self.blocks:
+            part, step = vectors[ids], -(-ids.size // 8)
+            for lo in range(0, ids.size, step):  # W is 0 right of its rows' diagonal
+                image = inverse[lo:lo + step, :lo + step] @ part[:lo + step]
+                total += np.einsum("ij,ij->j", image, image)
+        return total - self._flat_norms(vectors) ** 2
 
 
 def _flat_nodes(null_basis):
@@ -254,13 +326,90 @@ def _lift(kernel, coords):
     return kernel @ coords
 
 
+def _components(precision, pinned):
+    """The connected components of the pattern of ``precision`` once the
+    nodes of the mask ``pinned`` are taken out, as sorted node id arrays."""
+    neighbours, seen, found = [[] for _ in pinned], pinned.tolist(), []
+    for i, j in zip(*(ids.tolist() for ids in np.nonzero(precision))):
+        if not (seen[i] or seen[j]):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    for start in range(len(seen)):
+        if not seen[start]:
+            seen[start], members = True, [start]
+            for v in members:  # members grows as the search reaches nodes
+                for w in neighbours[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        members.append(w)
+            found.append(np.sort(members))
+    return found
+
+
+def _lower_inverse(lower):
+    """``lower``, a lower triangular matrix with a nonzero diagonal,
+    inverted in place by halves: ``[[A, 0], [C, D]]`` has the inverse
+    ``[[A^-1, 0], [-D^-1 C A^-1, D^-1]]``, so only matmul does the work."""
+    if len(lower) == 1:
+        return np.reciprocal(lower, out=lower)
+    half = len(lower) // 2
+    top, bottom = _lower_inverse(lower[:half, :half]), _lower_inverse(lower[half:, half:])
+    corner = lower[half:, :half]
+    np.matmul(bottom @ corner, top, out=corner)
+    np.negative(corner, out=corner)
+    return lower
+
+
+def _factored_fuse(prior, observation):
+    """:func:`fuse`'s factored route at any size, and ``None`` for an input
+    it does not take: each block's mean is its finite covariance times
+    ``h_f - P_fp d_p``, the free nodes' information."""
+    n, precision, info, rows, targets = _checked(*_summed(prior, observation))
+    pins = np.argmax(rows != 0, axis=1)
+    if not (precision.ndim == 2
+            and np.count_nonzero(precision > 0) == np.count_nonzero(precision.diagonal() > 0)
+            and np.all(precision.sum(axis=1) >= 0)
+            and np.count_nonzero(rows) == pins.size == np.unique(pins).size
+            and np.all(rows[np.arange(pins.size), pins] == 1.0)):
+        return None
+    pinned = np.isin(np.arange(n), pins)
+    mean = np.zeros(n)
+    mean[pins] = targets
+    rhs = info - precision[:, pins] @ targets
+    blocks = []
+    for ids in _components(precision, pinned):
+        block = precision[np.ix_(ids, ids)]
+        flat = not block.sum(axis=1).any()
+        block += flat / ids.size
+        block = np.linalg.cholesky(block)  # rebound: the factor frees the block
+        inverse = _lower_inverse(block)
+        mean[ids] = inverse.T @ (inverse @ rhs[ids]) - flat * rhs[ids].sum() / ids.size
+        blocks.append((ids, inverse, flat))
+    return _FactoredSummary(mean, pins, blocks)
+
+
 def fuse(prior, observation):
     """Fuse two beliefs and summarize the resulting posterior.
 
     The fused density on the constraint set ``{x : C x = d}`` is
     proportional to ``exp(-x' P x / 2 + h' x)`` with ``P`` and ``h`` the
-    summed finite parts. The constraint kernel is eigendecomposed under the
-    projected precision; eigenvalues above the cut
+    summed finite parts. Two routes summarize it, chosen from the input.
+
+    From ``_FACTORED_MIN_N`` = 1024 nodes up, the posterior is factored
+    where ``P`` is 2-d with every off-diagonal entry <= 0 and every row sum
+    >= 0, a graph Laplacian plus a non-negative diagonal, and every
+    constraint row pins a node of its own. The pins have zero variance; a
+    connected component of the rest is flat, along its indicator, exactly
+    where every row of its block ``B`` of ``P`` sums to 0, and is otherwise
+    finite. Each block gets one Cholesky factor, of ``B + 11'/c`` on a flat
+    one of ``c`` nodes, so no eigenvalue is cut however precise a sample.
+    The summary answers the queries of :class:`PosteriorSummary` and
+    computes ``eigen_factor()`` on demand. A block that
+    ``np.linalg.cholesky`` refuses sends the input to the eigen route.
+
+    Every other input takes the eigen route and returns a
+    :class:`PosteriorSummary`. The constraint kernel is eigendecomposed
+    under the projected precision; eigenvalues above the cut
     ``tau = n RANK_TOL ||P||_inf``, the rounding error eigh commits on an
     ``n x n`` matrix of that size, have finite variance, the others are
     flat, and one below ``-tau`` raises ``ValueError``: the fused precision
@@ -270,14 +419,25 @@ def fuse(prior, observation):
     with ``eps = 0`` sampled once the cut passes the smallest finite
     eigenvalue, about ``2.5 / n**2``, once ``n**3`` exceeds about
     ``2.5 sigma2 / RANK_TOL``; a 64-node path at ``sigma2 = 1e-12`` gets 2
-    flat directions and a 2500-node path at ``sigma2 = 1e-6`` gets 1, where
-    there are none (item 1 of ROADMAP.md). The mean is the minimum-norm
-    representative when flat directions exist.
+    flat directions where there are none (item 1 of ROADMAP.md). The mean
+    is the minimum-norm representative when flat directions exist.
 
     Without constraints the kernel is the whole space, so ``P`` itself is
     eigendecomposed: its eigenvectors are the bases and ``h`` is solved
     directly, with no projection through an identity kernel.
     """
+    if prior.n >= _FACTORED_MIN_N:
+        try:
+            summary = _factored_fuse(prior, observation)
+        except np.linalg.LinAlgError:
+            summary = None
+        if summary is not None:
+            return summary
+    return _eigen_fuse(prior, observation)
+
+
+def _eigen_fuse(prior, observation):
+    """The eigen route of :func:`fuse`, whatever the input."""
     projected, kernel, zero_basis, particular, g, tau = _projected(prior, observation)
     projected = _symmetrized(projected)  # rebound: eigh runs beside one m x m array, not two
     evals, evecs, finite = _eigen_split(projected, tau)

@@ -179,7 +179,7 @@ class TestFuseClosedForm:
         prior = smoothness_prior(laplacian(path_graph(n)), 0.0)
         obs = partial_observation(SamplingOperator(n=n, nodes=(0,)), np.ones(1), 1e-6)
         summary = fuse(prior, obs)
-        assert summary.null_basis.shape[1] == 0
+        assert summary.counts[1] == 0
         np.testing.assert_allclose(summary.mean, 1.0, rtol=0, atol=1e-8)
         assert node_variances(summary)[-1] == pytest.approx(n - 1, rel=1e-6)
         with warnings.catch_warnings():
@@ -264,7 +264,8 @@ class TestPosteriorAccessors:
 
 class TestPosteriorQueries:
     """The queries of ``PosteriorSummary`` read its eigen fields, and the
-    factored summary of tests/helpers.py answers them with no eigenbasis."""
+    factored summary that ``fuse`` returns from 1024 nodes up answers them
+    from its Cholesky factors."""
 
     @staticmethod
     def _blobs(build, sigma2=0.0, nodes=(0, 3)):
@@ -315,10 +316,74 @@ class TestPosteriorQueries:
             np.testing.assert_allclose(posterior_covariance(factored),
                                        posterior_covariance(eigen), rtol=0, atol=1e-12)
 
-    def test_a_factored_summary_has_no_eigen_factor(self):
-        factored = self._blobs(factored_fuse, 0.3)
-        with pytest.raises(TypeError, match="no eigenbasis"):
-            sampling_eval._screen(factored, 0.3, "trace")
+    @pytest.mark.parametrize("nodes", [(0, 3), (0, 3, 7)], ids=["flat", "proper"])
+    @pytest.mark.parametrize("metric", ["trace", "logdet"])
+    def test_a_factored_eigen_factor_screens_as_fuse_does(self, metric, nodes):
+        eigen, factored = (sampling_eval._screen(self._blobs(build, 0.3, nodes), 0.3, metric)
+                           for build in (fuse, factored_fuse))
+        np.testing.assert_allclose(factored[0], eigen[0], rtol=1e-12)
+        assert factored[1] == pytest.approx(eigen[1], rel=1e-12)
+
+
+def _hidden_grid(hidden, pins=(4, 500)):
+    """A 32x31 grid with every other node sampled at sigma2 = 0.4 and
+    ``pins`` pinned, beside an unsampled path of ``hidden`` nodes: its flat
+    component. The prior and the observation."""
+    edges = list(grid_graph(32, 31).edges) + [(992 + k, 993 + k) for k in range(hidden - 1)]
+    graph = Graph(992 + hidden, edges)
+    rng = np.random.default_rng(hidden)
+    noisy = SamplingOperator(n=graph.n, nodes=range(1, 992, 2))
+    obs = partial_observation(noisy, rng.standard_normal(noisy.n_s), 0.4).combine(
+        partial_observation(SamplingOperator(n=graph.n, nodes=pins),
+                            rng.standard_normal(len(pins)), 0.0))
+    return smoothness_prior(laplacian(graph), 0.0), obs
+
+
+class TestFactoredRoute:
+    """``fuse`` factors a graph posterior from 1024 nodes up and keeps the
+    eigen route for every other input."""
+
+    @pytest.mark.parametrize("pins", [(4, 500), ()], ids=["hidden", "proper"])
+    def test_a_large_graph_posterior_is_factored_as_the_eigen_route_answers(self, pins):
+        prior, obs = _hidden_grid(32, pins)
+        spectrum = spectral_decomposition(prior.precision)
+        if not pins:  # a sample on the hidden path leaves no flat direction
+            obs = obs.combine(partial_observation(SamplingOperator(n=1024, nodes=(1023,)),
+                                                  np.ones(1), 0.4))
+        factored, eigen = fuse(prior, obs), inference._eigen_fuse(prior, obs)
+        assert isinstance(factored, inference._FactoredSummary)
+        assert factored.counts == eigen.counts == ((1021, 1, 2) if pins else (1024, 0, 0))
+        np.testing.assert_allclose(factored.mean, eigen.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(node_variances(factored), node_variances(eigen), rtol=1e-12)
+        np.testing.assert_allclose(spectral_uncertainty(factored, spectrum),
+                                   spectral_uncertainty(eigen, spectrum), rtol=1e-12, atol=1e-12)
+        for direction in (np.arange(1024.0), np.r_[np.ones(992), np.zeros(32)] * 1e-30):
+            assert directional_uncertainty(factored, direction) == pytest.approx(
+                directional_uncertainty(eigen, direction), rel=1e-12)
+        np.testing.assert_allclose(factored.flat_projector(), eigen.flat_projector(),
+                                   rtol=0, atol=1e-12)
+        for metric in ("trace", "logdet", "max_eig"):
+            assert covariance_metric(factored, metric) == pytest.approx(
+                covariance_metric(eigen, metric), rel=1e-12)
+
+    def test_every_other_input_takes_the_eigen_route(self, monkeypatch):
+        assert type(fuse(*_hidden_grid(31))) is PosteriorSummary  # n = 1023
+        prior, obs = _hidden_grid(32)
+        # the relaxed prior's precision I - uu' is positive at (0, 1)
+        u = np.zeros((1024, 1))
+        u[:2, 0] = INV_SQRT2, -INV_SQRT2
+        relaxed = subspace_prior(SubspaceBasis(u), 1.0)
+        # the row an exact subspace prior on the signals of mean 0 holds
+        zero_mean = GaussianBelief(n=1024, precision=np.zeros(1024), info=np.zeros(1024),
+                                   constraints=np.full((1, 1024), 1024 ** -0.5), targets=[0.0])
+        for other in (relaxed, prior.combine(zero_mean)):
+            assert type(fuse(other, obs)) is PosteriorSummary
+
+        def refuse(matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert type(fuse(prior, obs)) is PosteriorSummary
 
 
 class TestDirectionalUncertainty:

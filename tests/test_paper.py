@@ -247,9 +247,10 @@ def _sampled_once(build, graph, node, value, sigma2):
 # On the 300-node tree further down, sigma2 = 1e-12 files 15 as flat, so
 # posterior_covariance raises, and sigma2 = 1e-10 files none but misses
 # the covariance by 1.2e-5 and the mean by 1.4e-6 (atol 2e-11 and 5e-12).
-# The factored summary of tests/helpers.py, which splits by pins and
-# components with no rank cut, passes the same referees through the
-# posterior's queries alone, these cases included.
+# The library's factored summary (factored_fuse, which fuse takes from
+# 1024 nodes up), which splits by pins and components with no rank cut,
+# passes the same referees through the posterior's queries alone, these
+# cases included.
 _ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 _WALKS = [(sigma2, n) for sigma2 in (1.0, 1e-3, 1e-6) for n in (64, 300, 1000)]
 _PRECISE_WALKS = [(1e-12, 64), (1e-10, 300), (1e-8, 1000)]

@@ -257,5 +257,5 @@ def test_one_sampled_corner_leaves_a_48x48_grid_finite(sigma2):
     graph = grid_graph(48, 48)
     prior, obs, _ = _sampled_smoothness_problem(graph, [0], sigma2, np.random.default_rng(0))
     summary = fuse(prior, obs)
-    assert summary.null_basis.shape[1] == 0
+    assert summary.counts[1] == 0
     assert np.all(np.isfinite(node_variances(summary)))
