@@ -15,18 +15,20 @@ repository's ``src/`` with one BLAS thread; the two routes alternate
 which goes first. A process computes the graph's spectrum, then times one
 ``fuse`` (the factored route: ``inference.fuse``, which factors from 1024
 nodes up; the eigen route: ``inference._eigen_fuse``), ``node_variances``
-and ``spectral_uncertainty`` on the result, and reads the process's peak
-resident set (``VmHWM`` of ``/proc/self/status``, null where there is
-none), which the spectrum's own ``eigh`` also sets. It then repeats the
-three calls under tracemalloc, which numpy reports its array buffers to,
-for the peak traced bytes of the timed work alone.
+and ``spectral_uncertainty`` on the result, each on its own clock, and
+reads the process's peak resident set (``VmHWM`` of
+``/proc/self/status``, null where there is none), which the spectrum's own
+``eigh`` also sets. It then repeats the three calls under tracemalloc,
+which numpy reports its array buffers to, for the peak traced bytes of the
+timed work alone.
 
 One entry per width and route is appended to ``BENCH_factored.json`` at
 the root of this repository: the commit id, whether its ``src/`` differs
-from it, the summary type ``fuse`` returned, every run's wall time,
-``VmHWM`` and peak traced bytes with their medians (and the times'
-quartiles), the sum of the finite node variances, by which the two
-routes' answers can be compared, and the versions of Python and numpy.
+from it, the summary type ``fuse`` returned, every run's wall time for
+the three calls together and for each call, ``VmHWM`` and peak traced
+bytes, with their medians (and the total times' quartiles), the sum of
+the finite node variances, by which the two routes' answers can be
+compared, and the versions of Python and numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_factored.json")
 WIDTHS = (32, 48)
 ROUTES = ("factored", "eigen")
+CALLS = ("fuse", "node_variances", "spectral_uncertainty")
 
 CHILD = r"""
 import json, platform, sys, time, tracemalloc
@@ -63,12 +66,17 @@ obs = partial_observation(sampling, np.random.default_rng(width).standard_normal
 build = {"factored": inference.fuse, "eigen": inference._eigen_fuse}[route]
 
 def job():
+    stamps = [time.perf_counter()]
     summary = build(prior, obs)
-    return summary, node_variances(summary), spectral_uncertainty(summary, spectrum)
+    stamps.append(time.perf_counter())
+    variances = node_variances(summary)
+    stamps.append(time.perf_counter())
+    spectral_uncertainty(summary, spectrum)
+    stamps.append(time.perf_counter())
+    return summary, variances, np.diff(stamps).tolist()
 
-start = time.perf_counter()
-summary, variances, _ = job()
-seconds = time.perf_counter() - start
+summary, variances, call_s = job()
+seconds = sum(call_s)
 try:
     with open("/proc/self/status", encoding="ascii") as status:
         hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
@@ -79,7 +87,7 @@ job()
 peak_traced = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 print(json.dumps({
-    "seconds": seconds, "vm_hwm_kb": hwm_kb, "peak_traced_bytes": peak_traced,
+    "seconds": seconds, "call_s": call_s, "vm_hwm_kb": hwm_kb, "peak_traced_bytes": peak_traced,
     "summary": type(summary).__name__, "n": graph.n,
     "finite_variance_sum": float(variances[np.isfinite(variances)].sum()),
     "python": platform.python_version(), "numpy": np.__version__,
@@ -112,6 +120,9 @@ def main():
                 "sigma2": 0.5, "route": route, "summary": last["summary"],
                 "seconds": seconds, "median_s": statistics.median(seconds),
                 "quartiles_s": _quartiles(seconds)[::2],
+                "call_s": {call: [r["call_s"][k] for r in runs] for k, call in enumerate(CALLS)},
+                "median_call_s": {call: statistics.median(r["call_s"][k] for r in runs)
+                                  for k, call in enumerate(CALLS)},
                 "vm_hwm_kb": hwm,
                 "median_vm_hwm_kb": None if None in hwm else statistics.median(hwm),
                 "peak_traced_bytes": traced,
@@ -120,11 +131,12 @@ def main():
             }
             entries.append(entry)
             medians[route] = entry["median_s"]
+            calls = ", ".join(f"{call} {t:.4f}" for call, t in entry["median_call_s"].items())
             print(f"{entry['grid']} + 8x8 {route:8s} {entry['commit'][:7]}"
                   f"{'+' if entry['dirty'] else ''}: {entry['summary']}, "
                   f"median {entry['median_s']:.4f} s "
-                  f"(quartiles {entry['quartiles_s'][0]:.4f} {entry['quartiles_s'][1]:.4f}), "
-                  f"VmHWM median {entry['median_vm_hwm_kb']} kB, "
+                  f"(quartiles {entry['quartiles_s'][0]:.4f} {entry['quartiles_s'][1]:.4f}; "
+                  f"{calls}), VmHWM median {entry['median_vm_hwm_kb']} kB, "
                   f"peak traced median {entry['median_peak_traced_bytes']:.0f} B, "
                   f"finite variance sum {entry['finite_variance_sum']:.12g}", flush=True)
         print(f"{width}x{width} + 8x8 factored / eigen median time: "

@@ -41,6 +41,7 @@ class GraphFormatError(ValueError):
 
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 _SYMMETRY_TOL = 1e-12  # asymmetry allowed, relative to a matrix's largest |entry|
+_SYMMETRY_TILE = 128  # rows that _require_symmetric compares at a time
 
 # The one rank rule, from rounding error: a computed eigenvalue or singular
 # value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
@@ -205,14 +206,15 @@ def _require_square(mat, name="matrix"):
 def _require_symmetric(mat, name="matrix"):
     """``mat`` as a float64 array, finite and symmetric to within
     ``_SYMMETRY_TOL`` times its largest |entry|, so the units of the matrix
-    do not move the verdict."""
+    do not move the verdict. It compares ``_SYMMETRY_TILE`` rows at a time
+    with the columns they mirror, so a large matrix makes no n x n copy."""
     mat = _require_square(mat, name)
     # np.maximum carries a NaN from either reduction through
     scale = float(np.maximum(mat.max(initial=0.0), -mat.min(initial=0.0)))
     if not np.isfinite(scale):
         raise ValueError(f"{name} contains non-finite entries")
-    asymmetry = mat - mat.T  # the only n x n temporary: abs works in place
-    if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > _SYMMETRY_TOL * scale:
+    if any(np.abs(mat[lo:lo + _SYMMETRY_TILE, lo:] - mat[lo:, lo:lo + _SYMMETRY_TILE].T).max()
+           > _SYMMETRY_TOL * scale for lo in range(0, len(mat), _SYMMETRY_TILE)):
         raise ValueError(f"{name} is not symmetric to {_SYMMETRY_TOL} times its largest |entry|")
     return mat
 

@@ -50,6 +50,7 @@ DIRECTION_TOL = 1e-8
 _CONSISTENCY_TOL = 1e-8
 _CG_RTOL = 1e-10  # relative residual at which conjugate gradient stops
 _FACTORED_MIN_N = 1024  # nodes from which fuse factors a graph posterior
+_GROUP_FLOOR = 64  # nodes at which a group of consecutive BFS levels closes
 
 
 class InconsistentConstraintsError(ValueError):
@@ -161,13 +162,13 @@ class PosteriorSummary(_Queries):
 
 class _FactoredSummary(_Queries):
     """The posterior of :func:`fuse` by index: the pins, and per component
-    of the free nodes its ids, the inverse ``W`` of its block's Cholesky
-    factor and whether it is flat; its covariance is ``W'W``, less ``11'/c``
-    on a flat block of ``c`` nodes."""
+    of the free nodes its ids in groups of BFS levels, the inverse ``W_k``
+    and left block ``M_k`` of each block row k < K of its block bidiagonal
+    Cholesky factor, an empty ``M_K``, and whether it is flat (one group)."""
 
-    def __init__(self, mean, pins, blocks):
-        self.mean, self.pins, self.blocks = _frozen(mean), pins, blocks
-        self._flat = [ids for ids, _, flat in blocks if flat]
+    def __init__(self, mean, pins, chains):
+        self.mean, self.pins, self.chains = _frozen(mean), pins, chains
+        self._flat = [ids for ids, _, _, flat in chains if flat]
 
     @property
     def counts(self):
@@ -191,22 +192,21 @@ class _FactoredSummary(_Queries):
 
     def _finite_covariance(self):
         cov = np.zeros((self.n, self.n))
-        for ids, inverse, flat in self.blocks:
-            cov[np.ix_(ids, ids)] = inverse.T @ inverse - flat / ids.size
+        for ids, inverses, couplings, flat in self.chains:
+            block = _solve(inverses, couplings, np.eye(ids.size)) - flat / ids.size
+            cov[np.ix_(ids, ids)] = _symmetrized(block, out=block)
         return cov
 
     def _finite_variances(self):
         variances = np.zeros(self.n)
-        for ids, inverse, _ in self.blocks:
-            variances[ids] = np.einsum("ij,ij->j", inverse, inverse)
+        for ids, inverses, couplings, _ in self.chains:
+            variances[ids] = _selected_variances(inverses, couplings)
         return variances
 
     def _finite_quadratic(self, vectors):
         total = np.zeros(vectors.shape[1])
-        for ids, inverse, _ in self.blocks:
-            part, step = vectors[ids], -(-ids.size // 8)
-            for lo in range(0, ids.size, step):  # W is 0 right of its rows' diagonal
-                image = inverse[lo:lo + step, :lo + step] @ part[:lo + step]
+        for ids, inverses, couplings, _ in self.chains:
+            for image in _forward(inverses, couplings, vectors[ids]):
                 total += np.einsum("ij,ij->j", image, image)
         return total - self._flat_norms(vectors) ** 2
 
@@ -326,9 +326,10 @@ def _lift(kernel, coords):
     return kernel @ coords
 
 
-def _components(precision, pinned):
-    """The connected components of the pattern of ``precision`` once the
-    nodes of the mask ``pinned`` are taken out, as sorted node id arrays."""
+def _level_groups(precision, pinned):
+    """The connected components of the pattern of ``precision`` less the
+    nodes of the mask ``pinned``, each as its BFS levels from its lowest id
+    in groups closed at ``_GROUP_FLOOR`` nodes: edges join adjacent groups."""
     neighbours, seen, found = [[] for _ in pinned], pinned.tolist(), []
     for i, j in zip(*(ids.tolist() for ids in np.nonzero(precision))):
         if not (seen[i] or seen[j]):
@@ -336,13 +337,15 @@ def _components(precision, pinned):
             neighbours[j].append(i)
     for start in range(len(seen)):
         if not seen[start]:
-            seen[start], members = True, [start]
-            for v in members:  # members grows as the search reaches nodes
-                for w in neighbours[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        members.append(w)
-            found.append(np.sort(members))
+            seen[start], groups, level = True, [[]], [start]
+            while level:
+                if len(groups[-1]) >= _GROUP_FLOOR:
+                    groups.append([])
+                groups[-1] += level
+                level = list(dict.fromkeys(w for v in level for w in neighbours[v] if not seen[w]))
+                for w in level:
+                    seen[w] = True
+            found.append(groups)
     return found
 
 
@@ -360,32 +363,65 @@ def _lower_inverse(lower):
     return lower
 
 
+def _forward(inverses, couplings, part):
+    """The blocks of ``L^-1 part`` for a chain's factor ``L``, block row k
+    ``[M_k, L_k]`` (``M_0`` empty): ``y_k = W_k (v_k - M_k y_{k-1})``."""
+    images = [part[:0]]
+    for inverse, coupling in zip(inverses, couplings):
+        rows, part = part[:len(inverse)], part[len(inverse):]
+        images.append(inverse @ (rows - coupling @ images[-1]))
+    return images[1:]
+
+
+def _solve(inverses, couplings, part):
+    """``P^-1 part`` for a chain's precision ``P = L L'``: :func:`_forward`,
+    then back by ``x_k = W_k' (y_k - M_{k+1}' x_{k+1})``."""
+    images, solved = _forward(inverses, couplings, part), [part[:0]]
+    for inverse, coupling, image in zip(inverses[::-1], couplings[:0:-1], images[::-1]):
+        solved.append(inverse.T @ (image - coupling.T @ solved[-1]))
+    return np.concatenate(solved[:0:-1])
+
+
+def _selected_variances(inverses, couplings):
+    """The diagonal of a chain's ``P^-1`` by selected inversion of its diagonal
+    blocks, run back: ``C_k = W_k'W_k + (M_{k+1} W_k)' C_{k+1} (M_{k+1} W_k)``."""
+    sigma, diagonals = np.zeros((0, 0)), []
+    for inverse, coupling in zip(inverses[::-1], couplings[:0:-1]):
+        across = coupling @ inverse
+        sigma = inverse.T @ inverse + across.T @ (sigma @ across)
+        diagonals.append(sigma.diagonal())
+    return np.concatenate(diagonals[::-1])
+
+
 def _factored_fuse(prior, observation):
     """:func:`fuse`'s factored route at any size, and ``None`` for an input
-    it does not take: each block's mean is its finite covariance times
+    it does not take: each chain's mean is its finite covariance times
     ``h_f - P_fp d_p``, the free nodes' information."""
     n, precision, info, rows, targets = _checked(*_summed(prior, observation))
     pins = np.argmax(rows != 0, axis=1)
     if not (precision.ndim == 2
             and np.count_nonzero(precision > 0) == np.count_nonzero(precision.diagonal() > 0)
-            and np.all(precision.sum(axis=1) >= 0)
+            and np.all((row_sums := precision.sum(axis=1)) >= 0)
             and np.count_nonzero(rows) == pins.size == np.unique(pins).size
             and np.all(rows[np.arange(pins.size), pins] == 1.0)):
         return None
-    pinned = np.isin(np.arange(n), pins)
     mean = np.zeros(n)
     mean[pins] = targets
     rhs = info - precision[:, pins] @ targets
-    blocks = []
-    for ids in _components(precision, pinned):
-        block = precision[np.ix_(ids, ids)]
-        flat = not block.sum(axis=1).any()
-        block += flat / ids.size
-        block = np.linalg.cholesky(block)  # rebound: the factor frees the block
-        inverse = _lower_inverse(block)
-        mean[ids] = inverse.T @ (inverse @ rhs[ids]) - flat * rhs[ids].sum() / ids.size
-        blocks.append((ids, inverse, flat))
-    return _FactoredSummary(mean, pins, blocks)
+    chains = []
+    for groups in _level_groups(precision, np.isin(np.arange(n), pins)):
+        ids = np.concatenate(groups)
+        flat = not (row_sums[ids].any() or precision[np.ix_(ids, pins)].any())
+        groups = [ids] if flat else groups  # a flat block stays whole: 11'/c is dense
+        inverses, couplings = [], [np.zeros((len(groups[0]), 0))]
+        for group, after in zip(groups, groups[1:] + [[]]):
+            block = precision[np.ix_(group, group)] + flat / ids.size
+            block -= couplings[-1] @ couplings[-1].T
+            inverses.append(_lower_inverse(np.linalg.cholesky(block)))
+            couplings.append(precision[np.ix_(after, group)] @ inverses[-1].T)
+        mean[ids] = _solve(inverses, couplings, rhs[ids]) - flat * rhs[ids].sum() / ids.size
+        chains.append((ids, inverses, couplings, flat))
+    return _FactoredSummary(mean, pins, chains)
 
 
 def fuse(prior, observation):
@@ -401,11 +437,12 @@ def fuse(prior, observation):
     constraint row pins a node of its own. The pins have zero variance; a
     connected component of the rest is flat, along its indicator, exactly
     where every row of its block ``B`` of ``P`` sums to 0, and is otherwise
-    finite. Each block gets one Cholesky factor, of ``B + 11'/c`` on a flat
-    one of ``c`` nodes, so no eigenvalue is cut however precise a sample.
-    The summary answers the queries of :class:`PosteriorSummary` and
-    computes ``eigen_factor()`` on demand. A block that
-    ``np.linalg.cholesky`` refuses sends the input to the eigen route.
+    finite. Its BFS levels, in groups of 64 nodes or more, make ``B`` block
+    tridiagonal; it is factored block by block (a flat one as one group of
+    ``B + 11'/c``, ``c`` its nodes), so no eigenvalue is cut however precise
+    a sample. The summary answers the queries of :class:`PosteriorSummary`,
+    node variances by selected inversion, and computes ``eigen_factor()`` on
+    demand. A block ``np.linalg.cholesky`` refuses sends it to the eigen route.
 
     Every other input takes the eigen route and returns a
     :class:`PosteriorSummary`. The constraint kernel is eigendecomposed

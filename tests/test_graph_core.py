@@ -284,6 +284,51 @@ class TestSpectralDecomposition:
         assert again.vectors is spec.vectors and again.values is spec.values
 
 
+class TestRequireSymmetric:
+    """``_require_symmetric`` compares tiles of rows against their columns;
+    its verdict is that of the whole ``|mat - mat.T|`` against the bound."""
+
+    _MESSAGE = r"^matrix is not symmetric to 1e-12 times its largest \|entry\|$"
+
+    @pytest.mark.parametrize("where", [(-1, -2), (-2, -1), (-3, -1)])
+    def test_an_asymmetry_in_the_last_ragged_tile_alone_is_found(self, where):
+        n = 2 * graph_core._SYMMETRY_TILE + 3  # the last tile has 3 rows
+        mat = np.eye(n)
+        mat[where] = 0.25
+        with pytest.raises(ValueError, match=self._MESSAGE):
+            graph_core._require_symmetric(mat)
+        mat[where[::-1]] = 0.25
+        assert graph_core._require_symmetric(mat) is mat
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**40])
+    @pytest.mark.parametrize("where", [(-1, -2), (-2, -1), (0, -1), (-1, 0), (40, 3)])
+    def test_an_asymmetry_at_the_tolerance_passes_and_one_just_past_it_fails(self, scale, where):
+        # the largest |entry| is scale, so the bound is exactly 1e-12 scale
+        n = 2 * graph_core._SYMMETRY_TILE + 3
+        mat = np.eye(n) * scale
+        mat[where] = graph_core._SYMMETRY_TOL * scale
+        graph_core._require_symmetric(mat)
+        mat[where] = np.nextafter(graph_core._SYMMETRY_TOL * scale, np.inf)
+        with pytest.raises(ValueError, match=self._MESSAGE):
+            graph_core._require_symmetric(mat)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_verdict_is_that_of_the_whole_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3 * graph_core._SYMMETRY_TILE + 2))
+        mat = rng.standard_normal((n, n))
+        mat += mat.T
+        i, j = rng.integers(n, size=2)
+        mat[i, j] += rng.choice([0.5, 0.9, 1.1, 2.0]) * 1e-12 * np.abs(mat).max()
+        scale = np.abs(mat).max()
+        whole = np.abs(mat - mat.T).max() > graph_core._SYMMETRY_TOL * scale
+        if whole:
+            with pytest.raises(ValueError, match=self._MESSAGE):
+                graph_core._require_symmetric(mat)
+        else:
+            graph_core._require_symmetric(mat)
+
+
 class TestSpectrum:
     def test_a_callers_arrays_are_copied_and_left_writable(self):
         vectors, values = np.eye(3), np.array([0.0, 1.0, 2.0])

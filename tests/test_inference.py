@@ -366,6 +366,37 @@ class TestFactoredRoute:
             assert covariance_metric(factored, metric) == pytest.approx(
                 covariance_metric(eigen, metric), rel=1e-12)
 
+    def test_the_free_nodes_are_chains_of_whole_bfs_levels_in_block_tridiagonal_groups(self):
+        prior, obs = _hidden_grid(32)
+        lap, pins = prior.precision, (4, 500)
+        chains = inference._level_groups(lap, np.isin(np.arange(1024), pins))
+        free = [v for v in range(992) if v not in pins]
+        assert [sorted(np.concatenate(groups).tolist()) for groups in chains] == [
+            free, list(range(992, 1024))]
+        for groups in chains:
+            start = min(np.concatenate(groups).tolist())
+            assert groups[0][0] == start
+            # breadth-first distances from the start, by a search of the test's own
+            depth, frontier = {start: 0}, [start]
+            while frontier:
+                reached = []
+                for v in frontier:
+                    for w in np.flatnonzero(lap[v]).tolist():
+                        if w not in pins and w not in depth:
+                            depth[w] = depth[v] + 1
+                            reached.append(w)
+                frontier = reached
+            label = {v: k for k, group in enumerate(groups) for v in group}
+            assert label.keys() == depth.keys()
+            for group, after in zip(groups, groups[1:]):  # whole levels, in order
+                assert len(group) >= inference._GROUP_FLOOR
+                assert max(depth[v] for v in group) < min(depth[v] for v in after)
+            rows, cols = np.nonzero(lap)
+            assert all(abs(label[i] - label[j]) <= 1 for i, j in zip(rows.tolist(), cols.tolist())
+                       if i in label and j in label)
+        summary = fuse(prior, obs)
+        assert [len(inverses) for _, inverses, _, _ in summary.chains] == [14, 1]
+
     def test_every_other_input_takes_the_eigen_route(self, monkeypatch):
         assert type(fuse(*_hidden_grid(31))) is PosteriorSummary  # n = 1023
         prior, obs = _hidden_grid(32)

@@ -77,6 +77,7 @@ from graphbayes import (
     spectral_decomposition,
     subspace_prior,
 )
+from graphbayes import inference
 from graphbayes.cli import main
 from graphbayes.simulate import _estimator_matrix
 
@@ -438,6 +439,54 @@ def test_a_precise_sample_leaves_the_split_exact(seed):
 @pytest.mark.parametrize("seed", _MISFILED)
 def test_a_precise_sample_leaves_the_factored_split_exact(seed):
     _holds_to_the_exact_posterior(*_precise_draw(seed), build=factored_fuse)
+
+
+# Item 10's drawn check of the factored summary: the first 200 precise
+# draws at the unchanged _FACTORED_RTOL. It misses at these seeds, by up to
+# 7.0e-12 relative on a variance of 14 565 at seed 44, rounding that
+# Cholesky's subtractions leave; ROADMAP item 9's like-signed (GTH)
+# elimination is the mend, which turns them on by deleting the marks.
+_FACTORED_MISSES = (44, 176)
+_ITEM_9 = pytest.mark.xfail(strict=True, reason="ROADMAP item 9: like-signed (GTH) elimination")
+
+
+@pytest.mark.parametrize("seed", [pytest.param(seed, marks=_ITEM_9) if seed in _FACTORED_MISSES
+                                  else seed for seed in range(200)])
+def test_a_precise_draw_leaves_the_factored_split_exact(seed):
+    _holds_to_the_exact_posterior(*_precise_draw(seed), build=factored_fuse)
+
+
+# The factored referees above once more with every BFS level a group of its
+# own, so that a chain has as many blocks as levels: a path sampled at one
+# end is factored one node at a time.
+@pytest.fixture
+def level_by_level(monkeypatch):
+    monkeypatch.setattr(inference, "_GROUP_FLOOR", 1)
+
+
+@pytest.mark.parametrize("sigma2, n", _WALKS + _PRECISE_WALKS)
+def test_a_path_factored_level_by_level_is_a_random_walk(level_by_level, n, sigma2):
+    _is_a_random_walk(factored_fuse, n, sigma2)
+
+
+def test_a_path_factored_level_by_level_is_a_brownian_bridge(level_by_level):
+    _is_a_brownian_bridge(factored_fuse)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-3, 1e-10, 1e-12])
+def test_a_tree_factored_level_by_level_has_the_depth_of_the_lca_as_covariance(level_by_level,
+                                                                                 sigma2):
+    _has_the_depth_of_the_lca_as_covariance(factored_fuse, sigma2)
+
+
+@pytest.mark.parametrize("seed", _MISFILED)
+def test_a_precise_sample_leaves_the_level_by_level_factored_split_exact(level_by_level, seed):
+    _holds_to_the_exact_posterior(*_precise_draw(seed), build=factored_fuse)
+
+
+def test_the_level_by_level_factored_split_is_the_exact_one_on_the_same_cases(level_by_level,
+                                                                               monkeypatch):
+    test_the_factored_split_is_the_exact_one_on_the_same_cases(monkeypatch)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
