@@ -263,8 +263,20 @@ def partial_observation(sampling, observed_s, sigma2):
     sampled node exactly and leaves the precision zero.
     """
     observed_s = _as_signal(observed_s, sampling.n_s, name="observation")
-    sigma2 = _as_scalar(sigma2, "sigma2")
+    sigma2 = _as_noise_variance(sigma2, float(np.abs(observed_s).max(initial=0.0)))
     return GaussianBelief(*_observed(sampling.n, sampling.nodes, observed_s, sigma2))
+
+
+def _as_noise_variance(sigma2, largest=0.0):
+    """``sigma2`` as a finite, non-negative float whose reciprocal, and
+    quotient with ``largest``, the largest observed magnitude, are finite:
+    an observation's precision and information are never ``inf``."""
+    sigma2 = _as_scalar(sigma2, "sigma2")
+    top = max(1.0, largest)
+    if sigma2 > 0 and top / sigma2 == np.inf:
+        raise ValueError(f"sigma2 must be 0 or such that {top!r} / sigma2 is finite, "
+                         f"got {sigma2!r}")
+    return sigma2
 
 
 def _observed(n, nodes, observed_s, sigma2):

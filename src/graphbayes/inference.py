@@ -329,22 +329,19 @@ def _lift(kernel, coords):
 def _level_groups(precision, pinned):
     """The connected components of the pattern of ``precision`` less the
     nodes of the mask ``pinned``, each as its BFS levels from its lowest id
-    in groups closed at ``_GROUP_FLOOR`` nodes: edges join adjacent groups."""
-    neighbours, seen, found = [[] for _ in pinned], pinned.tolist(), []
-    for i, j in zip(*(ids.tolist() for ids in np.nonzero(precision))):
-        if not (seen[i] or seen[j]):
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-    for start in range(len(seen)):
+    in groups closed at ``_GROUP_FLOOR`` nodes: edges join adjacent groups.
+    A level's rows give the next level, the unseen columns they touch."""
+    seen, found = pinned.copy(), []
+    for start in range(seen.size):
         if not seen[start]:
-            seen[start], groups, level = True, [[]], [start]
-            while level:
-                if len(groups[-1]) >= _GROUP_FLOOR:
-                    groups.append([])
-                groups[-1] += level
-                level = list(dict.fromkeys(w for v in level for w in neighbours[v] if not seen[w]))
-                for w in level:
-                    seen[w] = True
+            seen[start], groups, level = True, [], np.array([start])
+            while level.size:
+                if groups and groups[-1].size < _GROUP_FLOOR:
+                    groups[-1] = np.concatenate([groups[-1], level])
+                else:
+                    groups.append(level)
+                level = np.flatnonzero(precision[level].any(axis=0) & ~seen)
+                seen[level] = True
             found.append(groups)
     return found
 

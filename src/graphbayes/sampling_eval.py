@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .belief import SamplingOperator, _observed, partial_observation
-from .graph_core import _as_index, _as_scalar, _symmetrized
+from .belief import SamplingOperator, _as_noise_variance, _observed, partial_observation
+from .graph_core import _as_index, _symmetrized
 from .inference import _eigen_split, _flat_nodes, _projected, fuse
 
 __all__ = ["METRICS", "covariance_metric", "greedy_select"]
@@ -220,7 +220,7 @@ def greedy_select(prior, budget, sigma2, metric="trace"):
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}], got {budget}")
     _require_metric(metric)
-    sigma2 = _as_scalar(sigma2, "sigma2")
+    sigma2 = _as_noise_variance(sigma2)
     selected = []
     remaining = list(range(n))
     for _ in range(budget):

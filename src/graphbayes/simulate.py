@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .belief import SamplingOperator, partial_observation, smoothness_prior
+from .belief import SamplingOperator, _as_noise_variance, partial_observation, smoothness_prior
 from .graph_core import Graph, _as_index, _as_scalar, laplacian, spectral_decomposition
 from .inference import fuse, node_variances, posterior_covariance
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _as_scalar(self.eps, "eps (to draw prior signals)", positive=True)
-        _as_scalar(self.sigma2, "sigma2")
+        _as_noise_variance(self.sigma2)
         if self.sampling is not None:
             nodes = SamplingOperator(n=self.graph.n, nodes=self.sampling).nodes
             object.__setattr__(self, "sampling", nodes)

@@ -1,5 +1,7 @@
 """Belief constructors and information-form fusion arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +194,19 @@ class TestScalarParameters:
     def test_non_finite_or_negative_rejected(self, name, call, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
             call(bad)
+
+    @pytest.mark.parametrize("observed, sigma2, top", [
+        (1.0, 1e-320, 1.0), (1e300, 1e-10, 1e300), (-1e300, 1e-10, 1e300), (0.0, 5e-324, 1.0),
+    ])
+    def test_a_noise_variance_whose_information_overflows_is_refused(self, observed, sigma2, top):
+        # refused by name, before numpy's overflow warning in 1/sigma2 or observed/sigma2
+        rule = f"sigma2 must be 0 or such that {top!r} / sigma2 is finite, got {sigma2!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            full_observation(np.array([observed, 0.5]), sigma2)
+
+    def test_the_largest_finite_information_is_accepted(self):
+        obs = partial_observation(SamplingOperator(n=2, nodes=(0,)), np.full(1, 1e298), 1e-10)
+        assert obs.precision[0] == 1e10 and obs.info[0] == pytest.approx(1e308, rel=1e-15)
 
 
 class TestFullObservation:

@@ -1,5 +1,9 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -356,6 +360,23 @@ class TestNonFiniteFlags:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {name} must be finite and")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{graph}", "{signal}", "--sigma2", "1e-320"],
+        ["uncertainty", "{graph}", "--sigma2", "1e-320", "--direction", "node:0"],
+        ["simulate", "{graph}", "--sigma2", "1e-320", "--eps", "1e-6", "--trials", "10"],
+        ["sample-select", "{graph}", "--budget", "1", "--sigma2", "1e-320"],
+    ], ids=["estimate", "uncertainty", "simulate", "sample-select"])
+    def test_a_noise_variance_whose_reciprocal_overflows_is_one_error_line(self, p2_files, argv):
+        # a fresh process with numpy's default warnings: stderr as a user sees it
+        graph, signal = p2_files
+        argv = [a.format(graph=graph, signal=signal) for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "graphbayes", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: sigma2 must be 0 or such that 1.0 / sigma2 is finite, got 1e-320\n")
 
 
 class TestNegativeValues:

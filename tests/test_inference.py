@@ -33,10 +33,12 @@ from graphbayes import (
     perfect_reconstruct,
     posterior_covariance,
     quadratic_variation,
+    random_geometric_graph,
     smoothness_prior,
     solve_map,
     spectral_decomposition,
     spectral_uncertainty,
+    star_graph,
     subspace_prior,
 )
 from graphbayes import inference, sampling_eval
@@ -325,18 +327,30 @@ class TestPosteriorQueries:
         assert factored[1] == pytest.approx(eigen[1], rel=1e-12)
 
 
+def _sampled(graph, noisy, pins, seed):
+    """``graph``'s smoothness prior with eps = 0, and the nodes ``noisy``
+    sampled at sigma2 = 0.4 beside ``pins`` pinned: the prior and the
+    observation."""
+    rng = np.random.default_rng(seed)
+    noisy = SamplingOperator(n=graph.n, nodes=noisy)
+    obs = partial_observation(noisy, rng.standard_normal(noisy.n_s), 0.4).combine(
+        partial_observation(SamplingOperator(n=graph.n, nodes=pins),
+                            rng.standard_normal(len(pins)), 0.0))
+    return smoothness_prior(laplacian(graph), 0.0), obs
+
+
 def _hidden_grid(hidden, pins=(4, 500)):
     """A 32x31 grid with every other node sampled at sigma2 = 0.4 and
     ``pins`` pinned, beside an unsampled path of ``hidden`` nodes: its flat
     component. The prior and the observation."""
     edges = list(grid_graph(32, 31).edges) + [(992 + k, 993 + k) for k in range(hidden - 1)]
-    graph = Graph(992 + hidden, edges)
-    rng = np.random.default_rng(hidden)
-    noisy = SamplingOperator(n=graph.n, nodes=range(1, 992, 2))
-    obs = partial_observation(noisy, rng.standard_normal(noisy.n_s), 0.4).combine(
-        partial_observation(SamplingOperator(n=graph.n, nodes=pins),
-                            rng.standard_normal(len(pins)), 0.0))
-    return smoothness_prior(laplacian(graph), 0.0), obs
+    return _sampled(Graph(992 + hidden, edges), range(1, 992, 2), pins, hidden)
+
+
+def _level_shape(graph, pins):
+    """``graph`` with its odd nodes sampled and ``pins`` pinned, for the
+    factored route's level search."""
+    return (*_sampled(graph, range(1, graph.n, 2), pins, 0), pins)
 
 
 class TestFactoredRoute:
@@ -366,16 +380,23 @@ class TestFactoredRoute:
             assert covariance_metric(factored, metric) == pytest.approx(
                 covariance_metric(eigen, metric), rel=1e-12)
 
-    def test_the_free_nodes_are_chains_of_whole_bfs_levels_in_block_tridiagonal_groups(self):
-        prior, obs = _hidden_grid(32)
-        lap, pins = prior.precision, (4, 500)
-        chains = inference._level_groups(lap, np.isin(np.arange(1024), pins))
-        free = [v for v in range(992) if v not in pins]
-        assert [sorted(np.concatenate(groups).tolist()) for groups in chains] == [
-            free, list(range(992, 1024))]
+    @pytest.mark.parametrize("shape, counts", [
+        (lambda: (*_hidden_grid(32), (4, 500)), [14, 1]),
+        (lambda: _level_shape(star_graph(1024), (2,)), [1]),  # the leaves: one level of 1022
+        (lambda: _level_shape(path_graph(1025), (512,)), [8, 8]),  # one node a level
+        (lambda: _level_shape(random_geometric_graph(1024, 0.05, seed=7), (0,)), [13, 1, 1, 1]),
+    ], ids=["hidden grid", "star pinned at a leaf", "path pinned at its middle",
+            "geometric with isolated nodes"])
+    def test_the_free_nodes_are_chains_of_whole_bfs_levels_in_block_tridiagonal_groups(
+            self, shape, counts):
+        prior, obs, pins = shape()
+        lap = prior.precision
+        chains = inference._level_groups(lap, np.isin(np.arange(prior.n), pins))
+        nodes = [np.concatenate(groups).tolist() for groups in chains]
+        assert sorted(sum(nodes, [])) == [v for v in range(prior.n) if v not in pins]
+        assert [groups[0][0] for groups in chains] == sorted(min(ids) for ids in nodes)
         for groups in chains:
-            start = min(np.concatenate(groups).tolist())
-            assert groups[0][0] == start
+            start = groups[0][0]
             # breadth-first distances from the start, by a search of the test's own
             depth, frontier = {start: 0}, [start]
             while frontier:
@@ -394,8 +415,8 @@ class TestFactoredRoute:
             rows, cols = np.nonzero(lap)
             assert all(abs(label[i] - label[j]) <= 1 for i, j in zip(rows.tolist(), cols.tolist())
                        if i in label and j in label)
-        summary = fuse(prior, obs)
-        assert [len(inverses) for _, inverses, _, _ in summary.chains] == [14, 1]
+        assert [len(groups) for groups in chains] == counts
+        assert [len(inverses) for _, inverses, _, _ in fuse(prior, obs).chains] == counts
 
     def test_every_other_input_takes_the_eigen_route(self, monkeypatch):
         assert type(fuse(*_hidden_grid(31))) is PosteriorSummary  # n = 1023

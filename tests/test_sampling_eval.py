@@ -154,8 +154,11 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match=f"^budget must be an integer, got {budget!r}$"):
             greedy_select(prior, budget, 1.0)
 
-    @pytest.mark.parametrize("sigma2", [-1.0, math.nan])
-    def test_bad_noise_variance_raises_before_any_scoring(self, monkeypatch, sigma2):
+    @pytest.mark.parametrize("sigma2, rule", [
+        (-1.0, "finite and non-negative"), (math.nan, "finite and non-negative"),
+        (1e-320, "0 or such that 1.0 / sigma2 is finite"),
+    ], ids=["-1.0", "nan", "1e-320"])
+    def test_bad_noise_variance_raises_before_any_scoring(self, monkeypatch, sigma2, rule):
         def never(*args, **kwargs):
             raise AssertionError("a candidate was scored")
 
@@ -163,7 +166,7 @@ class TestGreedySelect:
             monkeypatch.setattr(sampling_eval, name, never)
         prior = smoothness_prior(laplacian(path_graph(3)), 0.0)
         with pytest.raises(ValueError,
-                           match=f"sigma2 must be finite and non-negative, got {sigma2!r}"):
+                           match=f"sigma2 must be {rule}, got {sigma2!r}"):
             greedy_select(prior, 1, sigma2, "trace")
 
     def test_noise_free_selection_collapses_variance(self):

@@ -30,8 +30,8 @@ from graphbayes import (
 from graphbayes import _kernels, _rng
 from graphbayes.simulate import _estimator_matrix
 
-from helpers import (GOLDEN, TrialStream, draw_prior_signal, mix64, observe, stream_key,
-                     two_component_graph, uniforms_block)
+from helpers import (GOLDEN, TrialStream, draw_prior_signal, factored_fuse, mix64, observe,
+                     stream_key, two_component_graph, uniforms_block)
 
 
 @st.composite
@@ -295,9 +295,11 @@ class TestRunCalibration:
             SamplingOperator(n=3, nodes=sampling)
         assert str(built.value) == str(checked.value)
 
-    def test_noise_free_estimator_matches_one_fuse_per_column(self):
+    @pytest.mark.parametrize("build", [fuse, factored_fuse], ids=["fuse", "factored"])
+    def test_noise_free_estimator_matches_one_fuse_per_column(self, build):
         # reference: the constrained mean for a unit observation at each
-        # sampled node, one fuse per column
+        # sampled node, one fuse per column; the estimator reads the
+        # eigen_factor() of either route's summary
         cases = [
             (laplacian(grid_graph(5, 4)), 0.05, (0, 3, 7, 12, 19)),
             (laplacian(random_geometric_graph(25, 0.35, seed=3)), 1e-6, (2, 8, 9, 20)),
@@ -307,7 +309,7 @@ class TestRunCalibration:
         for lap, eps, nodes in cases:
             prior = smoothness_prior(lap, eps)
             op = SamplingOperator(n=lap.shape[0], nodes=nodes)
-            summary = fuse(prior, partial_observation(op, np.zeros(op.n_s), 0.0))
+            summary = build(prior, partial_observation(op, np.zeros(op.n_s), 0.0))
             expected = np.empty((op.n, op.n_s))
             for j in range(op.n_s):
                 unit = np.zeros(op.n_s)
@@ -325,6 +327,10 @@ class TestRunCalibration:
         fields[field] = value
         with pytest.raises(ValueError, match=f"^{field}.* must be finite and {rule}"):
             ExperimentConfig(**fields)
+
+    def test_config_rejects_a_noise_variance_whose_reciprocal_overflows(self):
+        with pytest.raises(ValueError, match="^sigma2 must be 0 or such that 1.0 / sigma2 is fin"):
+            ExperimentConfig(graph=path_graph(2), eps=0.1, sigma2=1e-320, trials=5, seed=0)
 
     @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", 2.0), ("seed", 1.5)])
     def test_config_counts_must_be_integers(self, field, value):
