@@ -26,9 +26,10 @@ One entry per width and route is appended to ``BENCH_factored.json`` at
 the root of this repository: the commit id, whether its ``src/`` differs
 from it, the summary type ``fuse`` returned, every run's wall time for
 the three calls together and for each call, ``VmHWM`` and peak traced
-bytes, with their medians (and the total times' quartiles), the sum of
-the finite node variances, by which the two routes' answers can be
-compared, and the versions of Python and numpy.
+bytes, with their medians (and the total times' quartiles), the counts
+of finite, flat and zero-variance directions and the sum of the finite
+node variances, by which the two routes' answers can be compared, and
+the versions of Python and numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import statistics
 import sys
 
-from record import _append, _fresh_runs, _header, _quartiles
+from record import VM_HWM_SOURCE, _append, _fresh_runs, _header, _timed, _timed_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_factored.json")
@@ -46,7 +47,7 @@ WIDTHS = (32, 48)
 ROUTES = ("factored", "eigen")
 CALLS = ("fuse", "node_variances", "spectral_uncertainty")
 
-CHILD = r"""
+CHILD = VM_HWM_SOURCE + r"""
 import json, platform, sys, time, tracemalloc
 import numpy as np
 from graphbayes import (Graph, SamplingOperator, grid_graph, inference, laplacian,
@@ -77,18 +78,14 @@ def job():
 
 summary, variances, call_s = job()
 seconds = sum(call_s)
-try:
-    with open("/proc/self/status", encoding="ascii") as status:
-        hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    hwm_kb = None
+hwm_kb = vm_hwm_kb()
 tracemalloc.start()
 job()
 peak_traced = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 print(json.dumps({
     "seconds": seconds, "call_s": call_s, "vm_hwm_kb": hwm_kb, "peak_traced_bytes": peak_traced,
-    "summary": type(summary).__name__, "n": graph.n,
+    "summary": type(summary).__name__, "counts": list(summary.counts), "n": graph.n,
     "finite_variance_sum": float(variances[np.isfinite(variances)].sum()),
     "python": platform.python_version(), "numpy": np.__version__,
 }))
@@ -108,39 +105,29 @@ def main():
         for k in range(args.runs):
             for route in ROUTES[::-1] if k % 2 else ROUTES:
                 results[route] += _fresh_runs([ROOT], CHILD, (width, route), 1)[ROOT]
-        medians = {}
+        medians, counts = {}, {}
         for route, runs in results.items():
-            seconds = [r["seconds"] for r in runs]
-            hwm = [r["vm_hwm_kb"] for r in runs]
-            traced = [r["peak_traced_bytes"] for r in runs]
             last = runs[-1]
             entry = {
                 **_header(ROOT),
                 "grid": f"{width}x{width}", "hidden": "8x8", "n": last["n"], "eps": 0.0,
                 "sigma2": 0.5, "route": route, "summary": last["summary"],
-                "seconds": seconds, "median_s": statistics.median(seconds),
-                "quartiles_s": _quartiles(seconds)[::2],
+                "counts": last["counts"], **_timed(runs),
                 "call_s": {call: [r["call_s"][k] for r in runs] for k, call in enumerate(CALLS)},
                 "median_call_s": {call: statistics.median(r["call_s"][k] for r in runs)
                                   for k, call in enumerate(CALLS)},
-                "vm_hwm_kb": hwm,
-                "median_vm_hwm_kb": None if None in hwm else statistics.median(hwm),
-                "peak_traced_bytes": traced,
-                "median_peak_traced_bytes": statistics.median(traced),
                 **{key: last[key] for key in ("finite_variance_sum", "python", "numpy")},
             }
             entries.append(entry)
-            medians[route] = entry["median_s"]
+            medians[route], counts[route] = entry["median_s"], entry["counts"]
             calls = ", ".join(f"{call} {t:.4f}" for call, t in entry["median_call_s"].items())
             print(f"{entry['grid']} + 8x8 {route:8s} {entry['commit'][:7]}"
-                  f"{'+' if entry['dirty'] else ''}: {entry['summary']}, "
-                  f"median {entry['median_s']:.4f} s "
-                  f"(quartiles {entry['quartiles_s'][0]:.4f} {entry['quartiles_s'][1]:.4f}; "
-                  f"{calls}), VmHWM median {entry['median_vm_hwm_kb']} kB, "
-                  f"peak traced median {entry['median_peak_traced_bytes']:.0f} B, "
+                  f"{'+' if entry['dirty'] else ''}: {entry['summary']} "
+                  f"{tuple(entry['counts'])}, {_timed_text(entry)}, medians {calls}, "
                   f"finite variance sum {entry['finite_variance_sum']:.12g}", flush=True)
         print(f"{width}x{width} + 8x8 factored / eigen median time: "
-              f"{medians['factored'] / medians['eigen']:.3f}", flush=True)
+              f"{medians['factored'] / medians['eigen']:.3f}; counts "
+              f"{'agree' if counts['factored'] == counts['eigen'] else 'differ'}", flush=True)
 
     _append(BENCH_PATH, entries)
     return 0

@@ -30,17 +30,16 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 
-from record import _append, _fresh_runs, _header, _quartiles
+from record import VM_HWM_SOURCE, _append, _fresh_runs, _header, _timed, _timed_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(ROOT, "BENCH_greedy.json")
 CASES = (("trace", 0.0), ("logdet", 1.0), ("max_eig", 0.0))
 BUDGET = 3
 
-CHILD = r"""
+CHILD = VM_HWM_SOURCE + r"""
 import json, platform, sys, time, tracemalloc
 import numpy as np
 from graphbayes import grid_graph, laplacian, sampling_eval, smoothness_prior
@@ -50,11 +49,7 @@ prior = smoothness_prior(laplacian(grid_graph(9, 9)), 0.0)
 start = time.perf_counter()
 nodes = sampling_eval.greedy_select(prior, budget, sigma2, metric).nodes
 seconds = time.perf_counter() - start
-try:
-    with open("/proc/self/status", encoding="ascii") as status:
-        hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    hwm_kb = None
+hwm_kb = vm_hwm_kb()
 
 counts = dict.fromkeys(("_exact_scores", "fuse"), 0)
 exact_scores, fuse = sampling_eval._exact_scores, sampling_eval.fuse
@@ -94,29 +89,17 @@ def main():
     for metric, sigma2 in CASES:
         runs = _fresh_runs(checkouts, CHILD, (metric, sigma2, BUDGET), args.runs)
         for checkout, results in runs.items():
-            seconds = [r["seconds"] for r in results]
-            hwm = [r["vm_hwm_kb"] for r in results]
-            traced = [r["peak_traced_bytes"] for r in results]
             last = results[-1]
             entry = {
                 **_header(checkout),
                 "grid": "9x9", "eps": 0.0, "budget": BUDGET, "metric": metric,
-                "sigma2": sigma2,
-                "seconds": seconds, "median_s": statistics.median(seconds),
-                "quartiles_s": _quartiles(seconds)[::2],
-                "vm_hwm_kb": hwm,
-                "median_vm_hwm_kb": None if None in hwm else statistics.median(hwm),
-                "peak_traced_bytes": traced,
-                "median_peak_traced_bytes": statistics.median(traced),
+                "sigma2": sigma2, **_timed(results),
                 **{key: last[key] for key in
                    ("nodes", "exact_scores", "fuse_calls", "python", "numpy")},
             }
             entries.append(entry)
             print(f"{metric:8s} sigma2={sigma2:g} {entry['commit'][:7]}"
-                  f"{'+' if entry['dirty'] else ''}: median {entry['median_s']:.4f} s "
-                  f"(quartiles {entry['quartiles_s'][0]:.4f} {entry['quartiles_s'][1]:.4f}), "
-                  f"VmHWM median {entry['median_vm_hwm_kb']} kB, "
-                  f"peak traced median {entry['median_peak_traced_bytes']:.0f} B, "
+                  f"{'+' if entry['dirty'] else ''}: {_timed_text(entry)}, "
                   f"{entry['exact_scores']} exact scores, {entry['fuse_calls']} fuse calls, "
                   f"set {tuple(entry['nodes'])}", flush=True)
 

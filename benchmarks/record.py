@@ -136,6 +136,38 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+# The source of ``vm_hwm_kb()``, for the code that :func:`_fresh_runs` runs:
+# the process's peak resident set in kB (``VmHWM`` of ``/proc/self/status``),
+# None where there is none.
+VM_HWM_SOURCE = r"""
+def vm_hwm_kb():
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+"""
+
+
+def _timed(runs):
+    """The keys of an entry that sum up ``runs``, the JSON of fresh processes
+    that each report ``seconds``, ``vm_hwm_kb`` and ``peak_traced_bytes``:
+    every run's values with their medians, and the times' quartiles."""
+    seconds, hwm, traced = ([r[key] for r in runs]
+                            for key in ("seconds", "vm_hwm_kb", "peak_traced_bytes"))
+    return {"seconds": seconds, "median_s": statistics.median(seconds),
+            "quartiles_s": _quartiles(seconds)[::2],
+            "vm_hwm_kb": hwm, "median_vm_hwm_kb": None if None in hwm else statistics.median(hwm),
+            "peak_traced_bytes": traced, "median_peak_traced_bytes": statistics.median(traced)}
+
+
+def _timed_text(entry):
+    """The medians and quartiles of :func:`_timed` in ``entry``, as text."""
+    return (f"median {entry['median_s']:.4f} s (quartiles {entry['quartiles_s'][0]:.4f} "
+            f"{entry['quartiles_s'][1]:.4f}), VmHWM median {entry['median_vm_hwm_kb']} kB, "
+            f"peak traced median {entry['median_peak_traced_bytes']:.0f} B")
+
+
 def _verdict(first, second, wins, pairs, better, bound):
     """The verdict on ``second`` against ``first``, the values of one metric
     in each checkout, the second being better on ``wins`` of ``pairs``

@@ -46,9 +46,10 @@ _SYMMETRY_TILE = 128  # rows that _require_symmetric compares at a time
 # The one rank rule, from rounding error: a computed eigenvalue or singular
 # value of a dim-sized matrix A is known only to about dim * RANK_TOL * |A|,
 # so one at most that counts as zero, with |A| a bound on the largest. It
-# splits finite from infinite variance in fuse and conjugate gradient and
-# decides whether the iterative maximizer is unique (|P| is the largest
-# absolute row sum of the fused precision); it sets the rank of exact
+# splits finite from infinite variance in fuse (in its factored route per component,
+# 1'B1/c along the indicator of c nodes, |B| their largest absolute row sum) and
+# conjugate gradient, and decides whether the iterative maximizer is unique (|P| is
+# the largest absolute row sum of the fused precision); it sets the rank of exact
 # constraints (|A| the largest singular value), of the sampled rows of an
 # orthonormal n x dim basis U (|U| = 1) and bandlimit_basis's cut (|A| = max|λ|).
 RANK_TOL = float(np.finfo(np.float64).eps)

@@ -161,10 +161,10 @@ class PosteriorSummary(_Queries):
 
 
 class _FactoredSummary(_Queries):
-    """The posterior of :func:`fuse` by index: the pins, and per component
-    of the free nodes its ids in groups of BFS levels, the inverse ``W_k``
-    and left block ``M_k`` of each block row k < K of its block bidiagonal
-    Cholesky factor, an empty ``M_K``, and whether it is flat (one group)."""
+    """The posterior of :func:`fuse` by index: the pins, and per component of the free
+    nodes its ids in groups of BFS levels, the inverse ``W_k`` and left block ``M_k`` of
+    each block row k < K of its block bidiagonal Cholesky factor, an empty ``M_K``, and
+    whether :func:`fuse`'s rank rule files it flat (then it is one group)."""
 
     def __init__(self, mean, pins, chains):
         self.mean, self.pins, self.chains = _frozen(mean), pins, chains
@@ -404,11 +404,13 @@ def _factored_fuse(prior, observation):
         return None
     mean = np.zeros(n)
     mean[pins] = targets
-    rhs = info - precision[:, pins] @ targets
+    rhs = info - (to_pins := precision[:, pins]) @ targets
+    # each free row's share of 1'B1, and its absolute row sum 2 P_ii - r_i
+    shares, norms = row_sums - to_pins.sum(axis=1), 2 * precision.diagonal() - row_sums
     chains = []
     for groups in _level_groups(precision, np.isin(np.arange(n), pins)):
         ids = np.concatenate(groups)
-        flat = not (row_sums[ids].any() or precision[np.ix_(ids, pins)].any())
+        flat = bool(shares[ids].sum() / ids.size <= ids.size * RANK_TOL * norms[ids].max())
         groups = [ids] if flat else groups  # a flat block stays whole: 11'/c is dense
         inverses, couplings = [], [np.zeros((len(groups[0]), 0))]
         for group, after in zip(groups, groups[1:] + [[]]):
@@ -432,12 +434,14 @@ def fuse(prior, observation):
     where ``P`` is 2-d with every off-diagonal entry <= 0 and every row sum
     >= 0, a graph Laplacian plus a non-negative diagonal, and every
     constraint row pins a node of its own. The pins have zero variance; a
-    connected component of the rest is flat, along its indicator, exactly
-    where every row of its block ``B`` of ``P`` sums to 0, and is otherwise
-    finite. Its BFS levels, in groups of 64 nodes or more, make ``B`` block
-    tridiagonal; it is factored block by block (a flat one as one group of
-    ``B + 11'/c``, ``c`` its nodes), so no eigenvalue is cut however precise
-    a sample. The summary answers the queries of :class:`PosteriorSummary`,
+    connected component of the rest, with ``c`` nodes and block ``B`` of
+    ``P``, can be flat only along its indicator, and is flat under the rank
+    rule: where ``1'B1 / c <= c RANK_TOL N``, ``N`` the largest absolute row
+    sum of its rows, and is otherwise finite. Its BFS levels, in groups of
+    64 nodes or more, make ``B`` block tridiagonal; it is factored block by
+    block (a flat one as one group of ``B + 11'/c``), so no eigenvalue is
+    cut and a precise sample in one component leaves the others' splits
+    alone. The summary answers the queries of :class:`PosteriorSummary`,
     node variances by selected inversion, and computes ``eigen_factor()`` on
     demand. A block ``np.linalg.cholesky`` refuses sends it to the eigen route.
 

@@ -347,6 +347,18 @@ def _hidden_grid(hidden, pins=(4, 500)):
     return _sampled(Graph(992 + hidden, edges), range(1, 992, 2), pins, hidden)
 
 
+def _beside_grid(extra, edges, scale=1.0, eps=0.0):
+    """``scale`` times the smoothness prior with ``eps`` of a 32x32 grid
+    beside ``extra`` more nodes joined by ``edges``, with every 7th grid
+    node sampled at sigma2 = 0.5: the prior and the observation."""
+    graph = Graph(1024 + extra, list(grid_graph(32, 32).edges)
+                  + [(1024 + i, 1024 + j) for i, j in edges])
+    sampling = SamplingOperator(n=graph.n, nodes=range(0, 1024, 7))
+    obs = partial_observation(sampling, np.random.default_rng(7).standard_normal(sampling.n_s),
+                              0.5)
+    return smoothness_prior(scale * laplacian(graph), eps), obs
+
+
 def _level_shape(graph, pins):
     """``graph`` with its odd nodes sampled and ``pins`` pinned, for the
     factored route's level search."""
@@ -417,6 +429,32 @@ class TestFactoredRoute:
                        if i in label and j in label)
         assert [len(groups) for groups in chains] == counts
         assert [len(inverses) for _, inverses, _, _ in fuse(prior, obs).chains] == counts
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1, 1 / 3, 0.3, 1e-6])
+    def test_both_routes_split_a_scaled_laplacian_alike(self, scale):
+        # the rows of scale * L sum to rounding, not to 0; at 0.3 one sums
+        # below 0, and the input takes the eigen route
+        prior, obs = _beside_grid(64, grid_graph(8, 8).edges, scale)
+        summary, eigen = fuse(prior, obs), inference._eigen_fuse(prior, obs)
+        assert scale == 0.3 or isinstance(summary, inference._FactoredSummary)
+        assert summary.counts == eigen.counts == (1087, 1, 0)
+        variances, expected = node_variances(summary), node_variances(eigen)
+        np.testing.assert_array_equal(np.isinf(variances), np.isinf(expected))
+        assert np.isinf(expected[1024:]).all()
+        # the eigen route's variances carry a relative error of about
+        # RANK_TOL ||P||_inf / lambda_min: 4.4e-10 at scale 1e-6
+        norm = np.linalg.norm(prior.precision, np.inf) + 1 / 0.5
+        rtol = 1e-12 + RANK_TOL * norm * np.max(eigen.cov_values)
+        np.testing.assert_allclose(variances[:1024], expected[:1024], rtol=rtol)
+
+    def test_isolated_nodes_beside_a_large_grid_keep_their_exact_variance(self):
+        # 1 / eps; no flat rule may file them flat (the eigen route's global
+        # cut, about 1.4e-12, lies above eps and does)
+        prior, obs = _beside_grid(3, [], eps=1e-14)
+        summary = fuse(prior, obs)
+        assert isinstance(summary, inference._FactoredSummary)
+        assert summary.counts == (1027, 0, 0)
+        np.testing.assert_allclose(node_variances(summary)[1024:], 1e14, rtol=1e-13)
 
     def test_every_other_input_takes_the_eigen_route(self, monkeypatch):
         assert type(fuse(*_hidden_grid(31))) is PosteriorSummary  # n = 1023

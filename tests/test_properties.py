@@ -35,7 +35,7 @@ from graphbayes import (
 )
 from graphbayes.inference import RANK_TOL, _reduce_constraints
 
-from helpers import components, random_graph
+from helpers import components, factored_fuse, random_graph
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -199,6 +199,25 @@ def test_scaling_the_precision_scales_the_variances(problem, c):
     finite = np.isfinite(base_var)
     np.testing.assert_allclose(c * scaled_var[finite], base_var[finite], rtol=1e-9,
                                atol=1e-12 * np.max(base.cov_values, initial=0.0))
+
+
+@SETTINGS
+@given(problems(), st.sampled_from([1e-12, 1e-6, 0.1, 1 / 3, 3.0, 1e10]))
+def test_scaling_a_factored_precision_scales_its_variances(problem, c):
+    # the factored route at any size: its flat rule must not read the
+    # rounding of c * P's row sums as information
+    prior, obs = problem
+    base = factored_fuse(prior, obs)
+    if base is None:
+        return  # not a graph posterior with pins for constraints
+    scaled = factored_fuse(_scaled(prior, c), _scaled(obs, c))
+    if scaled is None:
+        return  # a row of c * P sums below 0 by rounding
+    assert scaled.counts == base.counts
+    base_var, scaled_var = node_variances(base), node_variances(scaled)
+    np.testing.assert_array_equal(np.isinf(scaled_var), np.isinf(base_var))
+    finite = np.isfinite(base_var)
+    np.testing.assert_allclose(c * scaled_var[finite], base_var[finite], rtol=1e-9)
 
 
 @SETTINGS

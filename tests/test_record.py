@@ -109,3 +109,20 @@ def test_a_larger_share_of_failed_jobs_is_worse(capsys):
     # a share, not a count: 2 of 80 jobs fail less often than 1 of 30
     assert verdicts([(1, 30), (0, 0)], [(1, 40), (1, 40)])["failed_share"] == "level"
     assert verdicts([(1, 40), (1, 40)], [(1, 30), (0, 0)])["failed_share"] == "worse"
+
+
+def test_timed_sums_up_the_runs_of_a_fresh_process_benchmark():
+    runs = [{"seconds": s, "vm_hwm_kb": kb, "peak_traced_bytes": b}
+            for s, kb, b in ((0.3, 10, 5), (0.1, 30, 7), (0.2, 20, 6))]
+    entry = record._timed(runs)
+    assert entry["seconds"] == [0.3, 0.1, 0.2] and entry["median_s"] == 0.2
+    assert entry["median_vm_hwm_kb"] == 20 and entry["median_peak_traced_bytes"] == 6
+    assert record._timed(runs[:2] + [dict(runs[2], vm_hwm_kb=None)])["median_vm_hwm_kb"] is None
+    assert "median 0.2000 s" in record._timed_text(entry)
+
+
+def test_the_peak_resident_set_reader_runs_on_its_own():
+    scope = {}
+    exec(record.VM_HWM_SOURCE, scope)
+    hwm_kb = scope["vm_hwm_kb"]()
+    assert hwm_kb > 0 if os.path.exists("/proc/self/status") else hwm_kb is None
