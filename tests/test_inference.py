@@ -348,9 +348,9 @@ def _hidden_grid(hidden, pins=(4, 500)):
 
 
 def _beside_grid(extra, edges, scale=1.0, eps=0.0):
-    """``scale`` times the smoothness prior with ``eps`` of a 32x32 grid
-    beside ``extra`` more nodes joined by ``edges``, with every 7th grid
-    node sampled at sigma2 = 0.5: the prior and the observation."""
+    """The smoothness prior with ``eps`` on ``scale`` times the Laplacian of
+    a 32x32 grid beside ``extra`` more nodes joined by ``edges``, and every
+    7th grid node sampled at sigma2 = 0.5: the prior and the observation."""
     graph = Graph(1024 + extra, list(grid_graph(32, 32).edges)
                   + [(1024 + i, 1024 + j) for i, j in edges])
     sampling = SamplingOperator(n=graph.n, nodes=range(0, 1024, 7))
